@@ -7,8 +7,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "eval/daily_runner.h"
 #include "eval/report.h"
+#include "eval/resumable_runner.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -17,16 +17,17 @@ int main(int argc, char** argv) {
 
   core::L1Config config;  // paper defaults: 1h slots, 0.6/0.3
   config.num_threads = 0;  // parallel slots; results are thread-count invariant
-  auto result = eval::RunL1Daily(dataset, config);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
+  auto run = eval::RunDaily(dataset, eval::Technique(config));
+  if (!run.ok()) {
+    std::cerr << run.status() << "\n";
     return 1;
   }
+  const eval::DailyRunResult& result = run.value().result;
   eval::PrintDailyFigure(
       "Figure 5: positive decisions for L1 (th_pr=0.6, th_s=0.3)",
-      result.value().series, std::cout);
+      result.series, std::cout);
 
-  auto ci = result.value().TpRatioCi(0.98);
+  auto ci = result.TpRatioCi(0.98);
   if (ci.ok()) {
     std::cout << "\nmedian TP ratio: " << eval::FormatCi(ci.value(), 2)
               << "   (paper: [0.63, 0.73] at level 0.984)\n";
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   // §4.5 also reports the classification error over *unrelated* pairs
   // (25 FP over 1253 unrelated pairs would be ~2%).
   double worst_fpr = 0;
-  for (const core::ConfusionCounts& day : result.value().series.days) {
+  for (const core::ConfusionCounts& day : result.series.days) {
     worst_fpr = std::max(worst_fpr, day.false_positive_rate());
   }
   std::cout << "worst per-day error rate on unrelated pairs: "

@@ -7,8 +7,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "eval/daily_runner.h"
 #include "eval/report.h"
+#include "eval/resumable_runner.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -17,27 +17,29 @@ int main(int argc, char** argv) {
   eval::Dataset dataset = bench::BuildDatasetOrDie(argc, argv);
 
   core::L2Config config;  // timeout = 1 s
-  std::vector<core::SessionBuildStats> session_stats;
-  auto result = eval::RunL2Daily(dataset, config, &session_stats);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
+  auto run = eval::RunDaily(dataset, eval::Technique(config));
+  if (!run.ok()) {
+    std::cerr << run.status() << "\n";
     return 1;
   }
+  const eval::DailyRunResult& result = run.value().result;
+  const std::vector<core::SessionBuildStats>& session_stats =
+      run.value().session_stats;
   eval::PrintDailyFigure("Figure 6: positive decisions for L2 (timeout=1s)",
-                         result.value().series, std::cout);
+                         result.series, std::cout);
 
   std::cout << "\nsession creation (paper: ~4000 weekday / ~1000 weekend "
                "sessions, 7.5-11% of logs assigned):\n";
   TablePrinter table({"day", "#sessions", "%assigned"});
   for (size_t day = 0; day < session_stats.size(); ++day) {
-    table.AddRow({result.value().series.day_labels[day],
+    table.AddRow({result.series.day_labels[day],
                   std::to_string(session_stats[day].num_sessions),
                   FormatDouble(session_stats[day].assigned_fraction * 100.0,
                                1)});
   }
   table.Print(std::cout);
 
-  auto ci = result.value().TpRatioCi(0.98);
+  auto ci = result.TpRatioCi(0.98);
   if (ci.ok()) {
     std::cout << "\nmedian TP ratio: " << eval::FormatCi(ci.value(), 2)
               << "   (paper: [0.71, 0.78] at level 0.984)\n";

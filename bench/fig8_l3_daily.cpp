@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "eval/daily_runner.h"
 #include "eval/report.h"
+#include "eval/resumable_runner.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -19,21 +19,22 @@ int main(int argc, char** argv) {
   eval::Dataset dataset = bench::BuildDatasetOrDie(argc, argv);
 
   core::L3Config config;
-  auto result = eval::RunL3Daily(dataset, config);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
+  auto run = eval::RunDaily(dataset, eval::Technique(config));
+  if (!run.ok()) {
+    std::cerr << run.status() << "\n";
     return 1;
   }
+  const eval::DailyRunResult& result = run.value().result;
   eval::PrintDailyFigure("Figure 8: positive decisions for L3 (stop patterns on)",
-                         result.value().series, std::cout);
-  auto ci = result.value().TpRatioCi(0.98);
+                         result.series, std::cout);
+  auto ci = result.TpRatioCi(0.98);
   if (ci.ok()) {
     std::cout << "\nmedian TP ratio: " << eval::FormatCi(ci.value(), 2)
               << "   (paper: [0.93, 0.96] at level 0.984)\n";
   }
 
   // ---- union-over-days error taxonomy (§4.8) -----------------------------
-  const core::DependencyModel union_model = result.value().UnionModel();
+  const core::DependencyModel union_model = result.UnionModel();
   const core::ConfusionCounts union_counts = core::Evaluate(
       union_model, dataset.reference_services, dataset.universe_services);
   std::cout << "\nunion over all days: TP=" << union_counts.true_positives
@@ -134,10 +135,10 @@ int main(int argc, char** argv) {
   // ---- ablation: stop patterns off ---------------------------------------
   core::L3Config no_stop = config;
   no_stop.use_stop_patterns = false;
-  auto without = eval::RunL3Daily(dataset, no_stop);
+  auto without = eval::RunDaily(dataset, eval::Technique(no_stop));
   if (without.ok()) {
     const core::DependencyModel union_without =
-        without.value().UnionModel();
+        without.value().result.UnionModel();
     int inverted_without = 0;
     for (const core::NamePair& extra :
          union_without.Minus(dataset.reference_services)) {

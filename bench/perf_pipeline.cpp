@@ -342,7 +342,8 @@ int main(int argc, char** argv) {
   eval::ShardedSweepResult sweep_result;
   const double sweep_ms = MeasureMs(reps, [&] {
     auto result =
-        eval::RunL1ShardedSweep(dataset, sweep_l1_config, sweep_supervisor);
+        eval::RunShardedSweep(dataset, eval::Technique(sweep_l1_config),
+                              sweep_supervisor);
     if (!result.ok()) std::abort();
     sweep_result = std::move(result).value();
   });
@@ -360,11 +361,10 @@ int main(int argc, char** argv) {
   // unit of work) with checkpointing disabled vs one snapshot generation
   // per day. L1 is excluded so the denominator is the two fast miners —
   // the conservative (largest) overhead fraction.
-  eval::SweepConfig sweep_config;
-  sweep_config.run_l1 = false;
+  const std::vector<eval::Technique> sweep_techniques = {
+      eval::Technique(core::L2Config{}), eval::Technique(core::L3Config{})};
   const double ckpt_off_ms = MeasureMs(reps, [&] {
-    auto result =
-        eval::RunSweepResumable(dataset, sweep_config, eval::ResumableOptions{});
+    auto result = eval::RunSweepResumable(dataset, sweep_techniques, {});
     if (!result.ok()) std::abort();
   });
   const std::string ckpt_dir =
@@ -373,7 +373,8 @@ int main(int argc, char** argv) {
   ckpt_options.checkpoint.dir = ckpt_dir;
   const double ckpt_on_ms = MeasureMs(reps, [&] {
     std::filesystem::remove_all(ckpt_dir);  // every rep runs fresh
-    auto result = eval::RunSweepResumable(dataset, sweep_config, ckpt_options);
+    auto result =
+        eval::RunSweepResumable(dataset, sweep_techniques, ckpt_options);
     if (!result.ok()) std::abort();
   });
   std::filesystem::remove_all(ckpt_dir);
@@ -426,7 +427,7 @@ int main(int argc, char** argv) {
     eval::ResumableOptions obs_ckpt_options = ckpt_options;
     obs_ckpt_options.obs = &obs_context;
     auto sweep =
-        eval::RunSweepResumable(dataset, sweep_config, obs_ckpt_options);
+        eval::RunSweepResumable(dataset, sweep_techniques, obs_ckpt_options);
     if (!sweep.ok()) std::abort();
     std::filesystem::remove_all(ckpt_dir);
 

@@ -6,9 +6,9 @@
 
 #include <iostream>
 
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
 #include "eval/report.h"
+#include "eval/resumable_runner.h"
 #include "util/cli.h"
 #include "util/string_util.h"
 
@@ -43,41 +43,40 @@ int main(int argc, char** argv) {
   core::L1Config l1_config;
   l1_config.minlogs = static_cast<int64_t>(
       std::max(10.0, 30 * config.simulation.scale));
-  auto l1 = eval::RunL1Daily(dataset, l1_config);
+  auto l1 = eval::RunDaily(dataset, eval::Technique(l1_config));
   if (!l1.ok()) {
     std::cerr << l1.status() << "\n";
     return 1;
   }
-  eval::PrintDailyFigure("L1 — activity correlation", l1.value().series,
-                         std::cout);
-  if (auto ci = l1.value().TpRatioCi(0.98); ci.ok()) {
+  eval::PrintDailyFigure("L1 — activity correlation",
+                         l1.value().result.series, std::cout);
+  if (auto ci = l1.value().result.TpRatioCi(0.98); ci.ok()) {
     std::cout << "median TP ratio " << eval::FormatCi(ci.value(), 2)
               << "\n\n";
   }
 
   // L2: co-occurrence statistics over user sessions.
-  std::vector<core::SessionBuildStats> session_stats;
-  auto l2 = eval::RunL2Daily(dataset, core::L2Config{}, &session_stats);
+  auto l2 = eval::RunDaily(dataset, eval::Technique(core::L2Config{}));
   if (!l2.ok()) {
     std::cerr << l2.status() << "\n";
     return 1;
   }
   eval::PrintDailyFigure("L2 — session co-occurrence (timeout 1s)",
-                         l2.value().series, std::cout);
-  if (auto ci = l2.value().TpRatioCi(0.98); ci.ok()) {
+                         l2.value().result.series, std::cout);
+  if (auto ci = l2.value().result.TpRatioCi(0.98); ci.ok()) {
     std::cout << "median TP ratio " << eval::FormatCi(ci.value(), 2)
               << "\n\n";
   }
 
   // L3: free-text citations of the service directory.
-  auto l3 = eval::RunL3Daily(dataset, core::L3Config{});
+  auto l3 = eval::RunDaily(dataset, eval::Technique(core::L3Config{}));
   if (!l3.ok()) {
     std::cerr << l3.status() << "\n";
     return 1;
   }
   eval::PrintDailyFigure("L3 — service-directory citations",
-                         l3.value().series, std::cout);
-  if (auto ci = l3.value().TpRatioCi(0.98); ci.ok()) {
+                         l3.value().result.series, std::cout);
+  if (auto ci = l3.value().result.TpRatioCi(0.98); ci.ok()) {
     std::cout << "median TP ratio " << eval::FormatCi(ci.value(), 2) << "\n";
   }
 

@@ -43,9 +43,14 @@ int main(int argc, char** argv) {
   std::cout << "Corpus: " << dataset.store.size() << " logs over "
             << dataset.num_days() << " days\n";
 
-  eval::SweepConfig sweep;
-  sweep.run_l1 = !flags.GetBool("no-l1", false);
-  sweep.l1.minlogs = 8;  // support floor scaled to the reduced volume
+  std::vector<eval::Technique> sweep;
+  if (!flags.GetBool("no-l1", false)) {
+    core::L1Config l1;
+    l1.minlogs = 8;  // support floor scaled to the reduced volume
+    sweep.emplace_back(l1);
+  }
+  sweep.emplace_back(core::L2Config{});
+  sweep.emplace_back(core::L3Config{});
   eval::ResumableOptions options;
   options.checkpoint.dir = flags.GetString("ckpt", "");
   if (options.checkpoint.dir.empty()) {
@@ -73,16 +78,10 @@ int main(int argc, char** argv) {
               << "rerun with the same --ckpt (and no --kill) to resume\n";
     return 2;
   }
-  const eval::SweepResult& result = sweep_or.value();
-
-  auto report = [](const char* name,
-                   const std::optional<eval::ResumableDailyResult>& run) {
-    if (!run.has_value()) {
-      std::cout << name << ": skipped\n";
-      return;
-    }
-    const eval::ResumeInfo& resume = run->resume;
-    std::cout << name << ": " << resume.days_loaded
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const eval::ResumableDailyResult& run = sweep_or.value()[i];
+    const eval::ResumeInfo& resume = run.resume;
+    std::cout << sweep[i].name() << ": " << resume.days_loaded
               << " days loaded from checkpoint, " << resume.days_mined
               << " mined now, " << resume.snapshots_written
               << " snapshots written";
@@ -93,12 +92,9 @@ int main(int argc, char** argv) {
     if (!resume.resumed_from.empty()) {
       std::cout << "\n    resumed from " << resume.resumed_from;
     }
-    std::cout << "\n    model: " << run->tracker.ActiveModel().size()
+    std::cout << "\n    model: " << run.tracker.ActiveModel().size()
               << " tracked dependencies after "
-              << run->tracker.num_observations() << " daily observations\n";
-  };
-  report("L1", result.l1);
-  report("L2", result.l2);
-  report("L3", result.l3);
+              << run.tracker.num_observations() << " daily observations\n";
+  }
   return 0;
 }

@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   core::L1Config l1;
   l1.minlogs = 8;  // support floor scaled to the reduced volume
   l1.slot_length = 2 * kMillisPerHour;
+  const eval::Technique technique(l1);
 
   eval::ShardSupervisorConfig supervisor;
   supervisor.num_ranges = num_ranges;
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   };
 
   // 1. Fault-free baseline.
-  auto clean = eval::RunL1ShardedSweep(dataset, l1, supervisor);
+  auto clean = eval::RunShardedSweep(dataset, technique, supervisor);
   if (!clean.ok()) {
     std::cerr << "clean sweep failed: " << clean.status() << "\n";
     return 1;
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
     sim::ShardFaultInjector injector(plan);
     eval::ShardSupervisorConfig chaotic = supervisor;
     chaotic.faults = &injector;
-    auto survived = eval::RunL1ShardedSweep(dataset, l1, chaotic);
+    auto survived = eval::RunShardedSweep(dataset, technique, chaotic);
     if (!survived.ok()) {
       std::cerr << "chaos sweep failed: " << survived.status() << "\n";
       return 1;
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
   sim::ShardFaultInjector poison(poison_plan);
   eval::ShardSupervisorConfig degraded_config = supervisor;
   degraded_config.faults = &poison;
-  auto degraded = eval::RunL1ShardedSweep(dataset, l1, degraded_config);
+  auto degraded = eval::RunShardedSweep(dataset, technique, degraded_config);
   if (!degraded.ok()) {
     std::cerr << "degraded sweep failed outright: " << degraded.status()
               << "\n";

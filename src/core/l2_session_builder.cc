@@ -1,7 +1,7 @@
 #include "core/l2_session_builder.h"
 
 #include <cassert>
-#include <map>
+#include <ranges>
 
 #include "log/filter.h"
 #include "obs/obs.h"
@@ -21,55 +21,15 @@ Result<std::vector<Session>> SessionBuilder::Build(
     const RunOptions& options, SessionBuildStats* stats) const {
   assert(store.index_built());
   LOGMINE_SPAN_GLOBAL("l2/build_sessions", obs::Metric::kL2SessionBuildNs);
-  const auto deadline = StopDeadline(options);
-  const bool stoppable =
-      options.cancel != nullptr ||
-      deadline != std::chrono::steady_clock::time_point::max();
-  std::vector<Session> sessions;
-  std::map<LogStore::UserId, Session> open;
+  const std::vector<uint32_t> indices = IndicesInRange(store, begin, end);
   SessionBuildStats local;
-
-  auto finalize = [&](Session&& session) {
-    if (session.entries.size() >= config_.min_logs) {
-      local.logs_assigned += static_cast<int64_t>(session.entries.size());
-      sessions.push_back(std::move(session));
-    }
-  };
-
-  for (uint32_t idx : IndicesInRange(store, begin, end)) {
-    if (stoppable && (local.logs_considered & 1023) == 0) {
-      LOGMINE_RETURN_IF_ERROR(
-          CheckStop(options.cancel, deadline, "session build"));
-    }
-    ++local.logs_considered;
-    const LogStore::UserId user = store.user_id(idx);
-    if (user == LogStore::kNoUser) continue;
-    ++local.logs_with_context;
-    const TimeMs ts = store.client_ts(idx);
-    auto it = open.find(user);
-    if (it != open.end() && ts - it->second.entries.back().ts > config_.max_gap) {
-      finalize(std::move(it->second));
-      open.erase(it);
-      it = open.end();
-    }
-    if (it == open.end()) {
-      Session fresh;
-      fresh.user = user;
-      it = open.emplace(user, std::move(fresh)).first;
-    }
-    it->second.entries.push_back(
-        SessionLogEntry{ts, store.source_id(idx), idx});
-  }
-  for (auto& [user, session] : open) {
-    finalize(std::move(session));
-  }
-
-  local.num_sessions = sessions.size();
-  local.assigned_fraction =
-      local.logs_considered == 0
-          ? 0.0
-          : static_cast<double>(local.logs_assigned) /
-                static_cast<double>(local.logs_considered);
+  auto sessions = BuildFromRows(
+      indices | std::views::transform([&store](uint32_t idx) {
+        return SessionRow{store.client_ts(idx), store.source_id(idx),
+                          store.user_id(idx)};
+      }),
+      static_cast<int64_t>(indices.size()), options, &local);
+  if (!sessions.ok()) return sessions;
   obs::Count(obs::Metric::kL2SessionsBuilt,
              static_cast<int64_t>(local.num_sessions));
   obs::Count(obs::Metric::kL2SessionLogsAssigned, local.logs_assigned);

@@ -1,7 +1,10 @@
 #ifndef LOGMINE_CORE_L2_SESSION_BUILDER_H_
 #define LOGMINE_CORE_L2_SESSION_BUILDER_H_
 
+#include <chrono>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "log/store.h"
@@ -17,7 +20,14 @@ namespace logmine::core {
 struct SessionLogEntry {
   TimeMs ts = 0;
   LogStore::SourceId source = 0;
-  uint32_t record_index = 0;
+};
+
+/// One input row of a session build: a log's time, application and
+/// user. Rows whose user is LogStore::kNoUser carry no context.
+struct SessionRow {
+  TimeMs ts = 0;
+  LogStore::SourceId source = 0;
+  LogStore::UserId user = LogStore::kNoUser;
 };
 
 /// A reconstructed user session.
@@ -67,9 +77,78 @@ class SessionBuilder {
                                      TimeMs end, const RunOptions& options,
                                      SessionBuildStats* stats) const;
 
+  /// Row entry point, shared by the store overloads and the sliding
+  /// window (src/serve): groups `rows` — any range of time-ordered
+  /// SessionRow-like values with `ts`, `source` and `user` — into
+  /// sessions, skipping rows without context. `logs_considered` is the
+  /// size of the interval the rows came from (the denominator of
+  /// `assigned_fraction`). Stop checks as in the store overload.
+  template <typename Rows>
+  Result<std::vector<Session>> BuildFromRows(Rows&& rows,
+                                             int64_t logs_considered,
+                                             const RunOptions& options,
+                                             SessionBuildStats* stats) const;
+
  private:
   SessionBuilderConfig config_;
 };
+
+template <typename Rows>
+Result<std::vector<Session>> SessionBuilder::BuildFromRows(
+    Rows&& rows, int64_t logs_considered, const RunOptions& options,
+    SessionBuildStats* stats) const {
+  const auto deadline = StopDeadline(options);
+  const bool stoppable =
+      options.cancel != nullptr ||
+      deadline != std::chrono::steady_clock::time_point::max();
+  std::vector<Session> sessions;
+  std::map<LogStore::UserId, Session> open;
+  SessionBuildStats local;
+  local.logs_considered = logs_considered;
+
+  auto finalize = [&](Session&& session) {
+    if (session.entries.size() >= config_.min_logs) {
+      local.logs_assigned += static_cast<int64_t>(session.entries.size());
+      sessions.push_back(std::move(session));
+    }
+  };
+
+  int64_t visited = 0;
+  for (const auto& row : rows) {
+    if (stoppable && (visited & 1023) == 0) {
+      LOGMINE_RETURN_IF_ERROR(
+          CheckStop(options.cancel, deadline, "session build"));
+    }
+    ++visited;
+    if (row.user == LogStore::kNoUser) continue;
+    ++local.logs_with_context;
+    auto it = open.find(row.user);
+    if (it != open.end() &&
+        row.ts - it->second.entries.back().ts > config_.max_gap) {
+      finalize(std::move(it->second));
+      open.erase(it);
+      it = open.end();
+    }
+    if (it == open.end()) {
+      Session fresh;
+      fresh.user = row.user;
+      it = open.emplace(row.user, std::move(fresh)).first;
+    }
+    it->second.entries.push_back(SessionLogEntry{row.ts, row.source});
+  }
+  for (auto& [user, session] : open) {
+    finalize(std::move(session));
+  }
+
+  local.num_sessions = sessions.size();
+  local.assigned_fraction =
+      local.logs_considered == 0
+          ? 0.0
+          : static_cast<double>(local.logs_assigned) /
+                static_cast<double>(local.logs_considered);
+  if (stats != nullptr) *stats = local;
+  return sessions;
+}
 
 }  // namespace logmine::core
 

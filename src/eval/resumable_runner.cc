@@ -83,7 +83,7 @@ void WriteTornSnapshot(const std::string& path, std::string_view bytes) {
 /// Decodes one checkpoint into `run`. ParseError-class defects mean
 /// "discard this generation"; a FailedPrecondition means "refuse the
 /// run" (state written under a different config/dataset).
-Status DecodeCheckpoint(const std::string& bytes, Technique technique,
+Status DecodeCheckpoint(const std::string& bytes, TechniqueId technique,
                         uint64_t state_hash, int num_days,
                         ResumableDailyResult* run, int* days_completed) {
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
@@ -168,7 +168,7 @@ Status DecodeCheckpoint(const std::string& bytes, Technique technique,
 
 /// Scans the checkpoint directory newest-first for a generation this
 /// run can resume from. OK with days_loaded == 0 means "start fresh".
-Status LoadNewestValid(const ResumableOptions& options, Technique technique,
+Status LoadNewestValid(const ResumableOptions& options, TechniqueId technique,
                        uint64_t state_hash, int num_days,
                        ResumableDailyResult* run) {
   obs::ObsContext* ctx = obs::Effective(options.obs);
@@ -221,17 +221,21 @@ Status LoadNewestValid(const ResumableOptions& options, Technique technique,
   return Status::OK();
 }
 
-template <typename DayFn>
-Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
-                                          Technique technique,
-                                          uint64_t config_fingerprint,
-                                          const ResumableOptions& options,
-                                          const DayFn& day_fn) {
+/// The day span of each technique, indexed by TechniqueId.
+constexpr const char* kDaySpans[] = {"", "eval/l1_day", "eval/l2_day",
+                                     "eval/l3_day"};
+
+}  // namespace
+
+Result<ResumableDailyResult> RunDaily(const Dataset& dataset,
+                                      const Technique& technique,
+                                      const ResumableOptions& options) {
   using sim::CrashInjector;
   using sim::KillPoint;
+  const TechniqueId id = technique.id();
   const int num_days = dataset.num_days();
   const uint64_t state_hash =
-      CheckpointStateHash(config_fingerprint, dataset, options.tracker);
+      CheckpointStateHash(technique.fingerprint(), dataset, options.tracker);
   const bool checkpointing = !options.checkpoint.dir.empty();
 
   ResumableDailyResult run;
@@ -244,7 +248,7 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
                               options.checkpoint.dir + ": " + ec.message());
     }
     LOGMINE_RETURN_IF_ERROR(
-        LoadNewestValid(options, technique, state_hash, num_days, &run));
+        LoadNewestValid(options, id, state_hash, num_days, &run));
   }
 
   // Journal the resume decision and every day/checkpoint boundary: the
@@ -256,7 +260,7 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
     span = ctx->journal().BeginRootSpan("resume");
     ctx->journal().Emit(
         span, "resume_start",
-        {obs::JournalField::Str("technique", TechniqueName(technique)),
+        {obs::JournalField::Str("technique", technique.name()),
          obs::JournalField::Num("days_loaded", run.resume.days_loaded),
          obs::JournalField::Num("generations_discarded",
                                 run.resume.generations_discarded),
@@ -267,7 +271,7 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
   for (int day = run.resume.days_loaded; day < num_days; ++day) {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled(
-          std::string(TechniqueName(technique)) + " sweep cancelled after " +
+          std::string(technique.name()) + " sweep cancelled after " +
           std::to_string(day) + " of " + std::to_string(num_days) + " days");
     }
     if (options.deadline_ms != 0) {
@@ -277,17 +281,22 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
               .count();
       if (options.deadline_ms < 0 || elapsed >= options.deadline_ms) {
         return Status::DeadlineExceeded(
-            std::string(TechniqueName(technique)) +
+            std::string(technique.name()) +
             " sweep deadline expired after " + std::to_string(day) + " of " +
             std::to_string(num_days) + " days");
       }
     }
 
-    auto outcome = day_fn(day);
+    auto outcome = [&] {
+      LOGMINE_SPAN_GLOBAL(kDaySpans[static_cast<uint32_t>(id)],
+                          obs::Metric::kEvalDayNs);
+      obs::Count(obs::Metric::kEvalDaysMined);
+      return technique.MineDay(dataset, day);
+    }();
     if (!outcome.ok()) return outcome.status();
     DayOutcome& value = outcome.value();
     run.tracker.Observe(value.model);
-    if (technique == Technique::kL2) {
+    if (id == TechniqueId::kL2) {
       run.session_stats.push_back(value.session_stats);
     }
     run.result.series.day_labels.push_back(std::move(value.label));
@@ -304,7 +313,7 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
     }
     if (checkpointing) {
       const std::string bytes =
-          CheckpointBytes(technique, state_hash, num_days, run);
+          CheckpointBytes(id, state_hash, num_days, run);
       const int generation = day + 1;
       const std::string path =
           GenerationPath(options.checkpoint.dir, generation);
@@ -338,20 +347,6 @@ Result<ResumableDailyResult> RunResumable(const Dataset& dataset,
   return run;
 }
 
-}  // namespace
-
-std::string_view TechniqueName(Technique technique) {
-  switch (technique) {
-    case Technique::kL1:
-      return "l1";
-    case Technique::kL2:
-      return "l2";
-    case Technique::kL3:
-      return "l3";
-  }
-  return "unknown";
-}
-
 uint64_t CheckpointStateHash(uint64_t config_fingerprint,
                              const Dataset& dataset,
                              const core::ModelTrackerConfig& tracker) {
@@ -372,7 +367,7 @@ uint64_t CheckpointStateHash(uint64_t config_fingerprint,
   return fp.digest();
 }
 
-std::string CheckpointBytes(Technique technique, uint64_t state_hash,
+std::string CheckpointBytes(TechniqueId technique, uint64_t state_hash,
                             int num_days, const ResumableDailyResult& run) {
   SnapshotWriter w;
   w.BeginSection("meta");
@@ -406,72 +401,36 @@ std::string CheckpointBytes(Technique technique, uint64_t state_hash,
   return std::move(w).Finish();
 }
 
-Result<ResumableDailyResult> RunL1DailyResumable(
-    const Dataset& dataset, const core::L1Config& config,
+Result<std::vector<ResumableDailyResult>> RunSweepResumable(
+    const Dataset& dataset, const std::vector<Technique>& techniques,
     const ResumableOptions& options) {
-  return RunResumable(
-      dataset, Technique::kL1, core::ConfigFingerprint(config), options,
-      [&](int day) { return RunL1Day(dataset, config, day); });
-}
-
-Result<ResumableDailyResult> RunL2DailyResumable(
-    const Dataset& dataset, const core::L2Config& config,
-    const ResumableOptions& options) {
-  return RunResumable(
-      dataset, Technique::kL2, core::ConfigFingerprint(config), options,
-      [&](int day) { return RunL2Day(dataset, config, day); });
-}
-
-Result<ResumableDailyResult> RunL3DailyResumable(
-    const Dataset& dataset, const core::L3Config& config,
-    const ResumableOptions& options) {
-  return RunResumable(
-      dataset, Technique::kL3, core::ConfigFingerprint(config), options,
-      [&](int day) { return RunL3Day(dataset, config, day); });
-}
-
-Result<SweepResult> RunSweepResumable(const Dataset& dataset,
-                                      const SweepConfig& config,
-                                      const ResumableOptions& options) {
   using sim::CrashInjector;
   using sim::KillPoint;
-  SweepResult out;
-  int completed = 0;
-  const auto sub_options = [&](std::string_view technique) {
+  for (size_t i = 0; i < techniques.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (techniques[i].id() == techniques[j].id()) {
+        return Status::InvalidArgument(std::string(techniques[i].name()) +
+                                       " listed twice in one sweep");
+      }
+    }
+  }
+  std::vector<ResumableDailyResult> out;
+  for (const Technique& technique : techniques) {
+    if (!out.empty()) {
+      const int index = static_cast<int>(out.size()) - 1;
+      if (options.crash != nullptr &&
+          options.crash->ShouldKill(KillPoint::kBetweenMiners, index)) {
+        return CrashInjector::KilledStatus(KillPoint::kBetweenMiners, index);
+      }
+    }
     ResumableOptions sub = options;
     if (!sub.checkpoint.dir.empty()) {
       sub.checkpoint.dir =
-          (fs::path(options.checkpoint.dir) / technique).string();
+          (fs::path(options.checkpoint.dir) / technique.name()).string();
     }
-    return sub;
-  };
-  const auto boundary = [&]() -> Status {
-    const int index = completed - 1;
-    if (options.crash != nullptr &&
-        options.crash->ShouldKill(KillPoint::kBetweenMiners, index)) {
-      return CrashInjector::KilledStatus(KillPoint::kBetweenMiners, index);
-    }
-    return Status::OK();
-  };
-  if (config.run_l1) {
-    auto run = RunL1DailyResumable(dataset, config.l1, sub_options("l1"));
-    if (!run.ok()) return run.status();
-    out.l1 = std::move(run).value();
-    ++completed;
-    LOGMINE_RETURN_IF_ERROR(boundary());
-  }
-  if (config.run_l2) {
-    auto run = RunL2DailyResumable(dataset, config.l2, sub_options("l2"));
-    if (!run.ok()) return run.status();
-    out.l2 = std::move(run).value();
-    ++completed;
-    LOGMINE_RETURN_IF_ERROR(boundary());
-  }
-  if (config.run_l3) {
-    auto run = RunL3DailyResumable(dataset, config.l3, sub_options("l3"));
-    if (!run.ok()) return run.status();
-    out.l3 = std::move(run).value();
-    ++completed;
+    LOGMINE_ASSIGN_OR_RETURN(ResumableDailyResult run,
+                             RunDaily(dataset, technique, sub));
+    out.push_back(std::move(run));
   }
   return out;
 }

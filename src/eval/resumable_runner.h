@@ -4,27 +4,20 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/model_tracker.h"
-#include "eval/daily_runner.h"
+#include "eval/technique.h"
 #include "obs/obs.h"
 #include "simulation/crash_injector.h"
 #include "util/retry.h"
 
 namespace logmine::eval {
 
-/// Which technique a checkpoint stream belongs to; stored in every
-/// snapshot so a file can never be resumed by the wrong sweep.
-enum class Technique : uint32_t { kL1 = 1, kL2 = 2, kL3 = 3 };
-
-std::string_view TechniqueName(Technique technique);
-
 /// Where and how a resumable sweep persists its progress.
 struct CheckpointConfig {
   /// Checkpoint directory; empty disables checkpointing entirely (the
-  /// sweep then behaves exactly like the plain daily runner).
+  /// run is then the plain daily run: nothing is read or written).
   std::string dir;
   /// Completed generations kept on disk. Must be >= 2 so that a corrupt
   /// newest generation always has a valid predecessor to fall back to.
@@ -34,7 +27,11 @@ struct CheckpointConfig {
   RetryPolicy retry;
 };
 
-/// Controls of one resumable run.
+/// Controls of one daily run. Cancel and deadline checks run at day
+/// granularity (the cooperative unit of the sweep): once `cancel` fires
+/// or the wall-clock budget is spent, no further day starts and the run
+/// returns Cancelled / DeadlineExceeded naming how far it got. A day
+/// already mining finishes — no state is ever torn mid-day.
 struct ResumableOptions {
   CheckpointConfig checkpoint;
   /// Hysteresis parameters of the ModelTracker fed one observation per
@@ -42,9 +39,11 @@ struct ResumableOptions {
   /// incrementally across process restarts).
   core::ModelTrackerConfig tracker;
   const CancelToken* cancel = nullptr;
-  /// Day-granular wall-clock budget; 0 = none, negative = already
-  /// expired (see DailyRunOptions). Progress made before expiry is
-  /// checkpointed, so a deadline is a pause, not a loss.
+  /// Wall-clock budget in milliseconds, measured from the call; 0 =
+  /// none, and a negative budget has already expired when the run
+  /// starts (matching PipelineConfig::deadline_ms). Progress made
+  /// before expiry is checkpointed, so a deadline is a pause, not a
+  /// loss.
   int64_t deadline_ms = 0;
   /// Test-only kill-point harness; null in production.
   sim::CrashInjector* crash = nullptr;
@@ -78,32 +77,27 @@ struct ResumableDailyResult {
   std::optional<obs::MetricsSnapshot> metrics;
 };
 
-/// Checkpointed variants of RunL{1,2,3}Daily: the sweep writes one
-/// snapshot generation after every completed day, and on startup scans
-/// `checkpoint.dir`, discards truncated / corrupt / stale-version
-/// generations (falling back to the newest valid one) and resumes from
-/// there. A run killed at any instant and restarted produces a final
-/// result byte-identical to an uninterrupted run — the property
-/// tests/integration/crash_recovery_test.cc asserts for every kill
-/// point. A valid checkpoint whose config fingerprint does not match
-/// `config` fails the run with FailedPrecondition: state mined under
-/// different parameters is never silently mixed.
-Result<ResumableDailyResult> RunL1DailyResumable(
-    const Dataset& dataset, const core::L1Config& config,
-    const ResumableOptions& options);
-Result<ResumableDailyResult> RunL2DailyResumable(
-    const Dataset& dataset, const core::L2Config& config,
-    const ResumableOptions& options);
-Result<ResumableDailyResult> RunL3DailyResumable(
-    const Dataset& dataset, const core::L3Config& config,
-    const ResumableOptions& options);
+/// The one sequential daily runner: mines every day of `dataset` with
+/// `technique`, in order, feeding the tracker one model per day. With a
+/// checkpoint dir the run writes one snapshot generation after every
+/// completed day, and on startup scans the dir, discards truncated /
+/// corrupt / stale-version generations (falling back to the newest valid
+/// one) and resumes from there. A run killed at any instant and
+/// restarted produces a final result byte-identical to an uninterrupted
+/// run — the property tests/integration/crash_recovery_test.cc asserts
+/// for every kill point. A valid checkpoint whose config fingerprint
+/// does not match `technique` fails the run with FailedPrecondition:
+/// state mined under different parameters is never silently mixed.
+Result<ResumableDailyResult> RunDaily(const Dataset& dataset,
+                                      const Technique& technique,
+                                      const ResumableOptions& options = {});
 
 /// The canonical serialized form of a (possibly partial) sweep — the
 /// exact bytes written as a checkpoint generation, and the fingerprint
 /// the crash-recovery tests compare for byte-identity. `state_hash`
-/// must combine the config and dataset fingerprints (the runners use
+/// must combine the config and dataset fingerprints (RunDaily uses
 /// CheckpointStateHash).
-std::string CheckpointBytes(Technique technique, uint64_t state_hash,
+std::string CheckpointBytes(TechniqueId technique, uint64_t state_hash,
                             int num_days, const ResumableDailyResult& run);
 
 /// Combined fingerprint of (miner config, dataset identity, tracker
@@ -114,32 +108,18 @@ uint64_t CheckpointStateHash(uint64_t config_fingerprint,
                              const Dataset& dataset,
                              const core::ModelTrackerConfig& tracker);
 
-/// Configuration of a multi-technique resumable sweep (the per-day
-/// machinery behind figures 5, 6 and 8, run as one restartable unit).
-struct SweepConfig {
-  bool run_l1 = true;
-  bool run_l2 = true;
-  bool run_l3 = true;
-  core::L1Config l1;
-  core::L2Config l2;
-  core::L3Config l3;
-};
-
-struct SweepResult {
-  std::optional<ResumableDailyResult> l1;
-  std::optional<ResumableDailyResult> l2;
-  std::optional<ResumableDailyResult> l3;
-};
-
-/// Runs the enabled techniques in L1, L2, L3 order, each with its own
-/// checkpoint stream under `<checkpoint.dir>/<technique>`. A re-run
-/// after a crash skips completed techniques entirely (their final
-/// generation holds every day) and resumes the interrupted one. The
-/// kBetweenMiners kill point fires at technique boundaries (index =
-/// number of completed techniques - 1).
-Result<SweepResult> RunSweepResumable(const Dataset& dataset,
-                                      const SweepConfig& config,
-                                      const ResumableOptions& options);
+/// Runs `techniques` in order (the per-day machinery behind figures 5,
+/// 6 and 8, run as one restartable unit), each with its own checkpoint
+/// stream under `<checkpoint.dir>/<technique name>`, and returns one
+/// result per technique in the same order. A re-run after a crash skips
+/// completed techniques entirely (their final generation holds every
+/// day) and resumes the interrupted one. The kBetweenMiners kill point
+/// fires between consecutive techniques (index = number of completed
+/// techniques - 1). Two techniques with the same id would share a
+/// checkpoint stream and are InvalidArgument.
+Result<std::vector<ResumableDailyResult>> RunSweepResumable(
+    const Dataset& dataset, const std::vector<Technique>& techniques,
+    const ResumableOptions& options);
 
 }  // namespace logmine::eval
 

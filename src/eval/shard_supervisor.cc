@@ -593,46 +593,36 @@ Result<ShardedSweepResult> RunShardedSweep(
   return result;
 }
 
-ShardMineFn MakeL1ShardMiner(const Dataset& dataset,
-                             const core::L1Config& config, int num_ranges) {
-  return [&dataset, config, num_ranges](
-             core::ShardId shard,
-             const ShardContext& context) -> Result<core::DependencyModel> {
+Result<ShardedSweepResult> RunShardedSweep(
+    const Dataset& dataset, const Technique& technique,
+    const ShardSupervisorConfig& supervisor) {
+  const ShardGrid grid{dataset.num_days(), std::max(supervisor.num_ranges, 1)};
+  if (grid.num_ranges > 1 && !technique.slices_pairs()) {
+    return Status::InvalidArgument(
+        std::string(technique.name()) + " cannot shard into " +
+        std::to_string(grid.num_ranges) + " pair ranges");
+  }
+  const ShardMineFn mine =
+      [&dataset, technique, num_ranges = grid.num_ranges](
+          core::ShardId shard,
+          const ShardContext& context) -> Result<core::DependencyModel> {
     if (context.cancel != nullptr && context.cancel->cancelled()) {
       return Status::Cancelled("shard cancelled before mining");
     }
-    if (shard.day < 0 || shard.day >= dataset.num_days()) {
-      return Status::InvalidArgument("shard day " + std::to_string(shard.day) +
-                                     " outside the dataset");
-    }
-    core::L1ActivityMiner miner(config);
     LOGMINE_ASSIGN_OR_RETURN(
-        core::L1Result result,
-        miner.Mine(dataset.store, dataset.day_begin(shard.day),
-                   dataset.day_end(shard.day),
-                   core::PairRange{static_cast<uint32_t>(shard.range_index),
-                                   static_cast<uint32_t>(num_ranges)}));
-    return result.Dependencies(dataset.store);
+        DayOutcome outcome,
+        technique.MineDay(
+            dataset, shard.day,
+            core::PairRange{static_cast<uint32_t>(shard.range_index),
+                            static_cast<uint32_t>(num_ranges)}));
+    return std::move(outcome.model);
   };
-}
-
-uint64_t L1SweepStateHash(const Dataset& dataset, const core::L1Config& config,
-                          int num_ranges) {
-  uint64_t hash = CheckpointStateHash(core::ConfigFingerprint(config), dataset,
-                                      core::ModelTrackerConfig{});
+  uint64_t state_hash = CheckpointStateHash(technique.fingerprint(), dataset,
+                                            core::ModelTrackerConfig{});
   // Mix in the grid: partials sliced differently must not merge.
-  hash ^= 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(num_ranges) +
-          (hash << 6) + (hash >> 2);
-  return hash;
-}
-
-Result<ShardedSweepResult> RunL1ShardedSweep(
-    const Dataset& dataset, const core::L1Config& config,
-    const ShardSupervisorConfig& supervisor) {
-  const ShardGrid grid{dataset.num_days(), std::max(supervisor.num_ranges, 1)};
-  return RunShardedSweep(
-      grid, MakeL1ShardMiner(dataset, config, grid.num_ranges), supervisor,
-      L1SweepStateHash(dataset, config, grid.num_ranges));
+  state_hash ^= 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(grid.num_ranges) +
+                (state_hash << 6) + (state_hash >> 2);
+  return RunShardedSweep(grid, mine, supervisor, state_hash);
 }
 
 }  // namespace logmine::eval

@@ -7,9 +7,9 @@
 #include <string_view>
 #include <vector>
 
-#include "core/l1_activity_miner.h"
 #include "core/partial_model.h"
 #include "eval/dataset.h"
+#include "eval/technique.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 #include "simulation/crash_injector.h"
@@ -41,7 +41,8 @@ struct ShardContext {
 };
 
 /// One shard's mining function: the supervisor is generic over what a
-/// shard actually computes (the L1 binding below is the first user).
+/// shard actually computes (the technique binding below is the usual
+/// one).
 using ShardMineFn =
     std::function<Result<core::DependencyModel>(core::ShardId,
                                                 const ShardContext&)>;
@@ -166,24 +167,17 @@ Result<ShardedSweepResult> RunShardedSweep(const ShardGrid& grid,
                                            const ShardSupervisorConfig& config,
                                            uint64_t state_hash);
 
-/// L1 binding: shard (day, range) mines `dataset`'s day with
-/// L1ActivityMiner over PairRange{range, num_ranges}. Pure in the shard
-/// id (L1's randomness is keyed by (seed, slot, source)), so the merged
-/// sweep model of a fully covered run equals the union of unsliced
-/// per-day models.
-ShardMineFn MakeL1ShardMiner(const Dataset& dataset,
-                             const core::L1Config& config, int num_ranges);
-
-/// Fingerprint binding a sharded L1 sweep's partials together: config ×
-/// dataset × grid. Partials of a different config, corpus or slicing
-/// refuse to merge.
-uint64_t L1SweepStateHash(const Dataset& dataset, const core::L1Config& config,
-                          int num_ranges);
-
-/// Convenience wrapper: grid = dataset days × config.num_ranges, L1
-/// miner, L1 state hash.
-Result<ShardedSweepResult> RunL1ShardedSweep(
-    const Dataset& dataset, const core::L1Config& config,
+/// Technique binding: grid = dataset days × `supervisor.num_ranges`,
+/// and shard (day, range) mines that day with `technique` over
+/// PairRange{range, num_ranges}. Pure in the shard id (L1's randomness
+/// is keyed by (seed, slot, source)), so the merged sweep model of a
+/// fully covered run equals the union of unsliced per-day models.
+/// Partials are bound together by a state hash of technique config ×
+/// dataset × grid: partials of a different config, corpus or slicing
+/// refuse to merge. A technique that does not slice pairs (L2, L3)
+/// takes `num_ranges` <= 1 only; more is InvalidArgument.
+Result<ShardedSweepResult> RunShardedSweep(
+    const Dataset& dataset, const Technique& technique,
     const ShardSupervisorConfig& supervisor);
 
 }  // namespace logmine::eval

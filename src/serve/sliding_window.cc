@@ -1,6 +1,7 @@
 #include "serve/sliding_window.h"
 
 #include <algorithm>
+#include <ranges>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -259,50 +260,19 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
   // --- L2: sessions straddle epoch boundaries, so rebuild them over
   // the concatenated context columns (epoch time ranges are disjoint
   // and stored in order, so the concatenation is the window's time
-  // order), replicating SessionBuilder::Build, then score with the
-  // store-free miner core.
-  std::vector<core::Session> sessions;
-  std::map<uint32_t, core::Session> open;
-  core::SessionBuildStats stats;
-  auto finalize = [&](core::Session&& session) {
-    if (session.entries.size() >= config_.l2.session.min_logs) {
-      stats.logs_assigned += static_cast<int64_t>(session.entries.size());
-      sessions.push_back(std::move(session));
-    }
-  };
+  // order), then score with the store-free miner core.
+  int64_t logs_considered = 0;
   for (const EpochState& epoch : epochs_) {
-    stats.logs_considered += epoch.logs_considered;
-    for (const ContextLog& log : epoch.context) {
-      if ((stats.logs_with_context & 1023) == 0) {
-        LOGMINE_RETURN_IF_ERROR(
-            CheckStop(options.cancel, deadline, "window session rebuild"));
-      }
-      ++stats.logs_with_context;
-      auto it = open.find(log.user);
-      if (it != open.end() &&
-          log.ts - it->second.entries.back().ts > config_.l2.session.max_gap) {
-        finalize(std::move(it->second));
-        open.erase(it);
-        it = open.end();
-      }
-      if (it == open.end()) {
-        core::Session fresh;
-        fresh.user = log.user;
-        it = open.emplace(log.user, std::move(fresh)).first;
-      }
-      it->second.entries.push_back(
-          core::SessionLogEntry{log.ts, log.source, 0});
-    }
+    logs_considered += epoch.logs_considered;
   }
-  for (auto& [user, session] : open) {
-    finalize(std::move(session));
-  }
-  stats.num_sessions = sessions.size();
-  stats.assigned_fraction =
-      stats.logs_considered == 0
-          ? 0.0
-          : static_cast<double>(stats.logs_assigned) /
-                static_cast<double>(stats.logs_considered);
+  core::SessionBuildStats stats;
+  LOGMINE_ASSIGN_OR_RETURN(
+      const std::vector<core::Session> sessions,
+      core::SessionBuilder(config_.l2.session)
+          .BuildFromRows(epochs_ | std::views::transform(&EpochState::context) |
+                             std::views::join,
+                         logs_considered, RemainingOptions(options, deadline),
+                         &stats));
   core::L2CooccurrenceMiner l2_miner(config_.l2);
   LOGMINE_ASSIGN_OR_RETURN(
       const core::L2Result l2,

@@ -11,6 +11,7 @@
 #include "core/dependency.h"
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
+#include "core/l2_session_builder.h"
 #include "core/l3_text_miner.h"
 #include "log/record.h"
 #include "log/store.h"
@@ -175,12 +176,9 @@ class SlidingWindowMiner {
     uint32_t b = 0;
     bool positive = false;
   };
-  /// One context-bearing log, compacted to what session rebuild needs.
-  struct ContextLog {
-    TimeMs ts = 0;
-    uint32_t source = 0;
-    uint32_t user = 0;
-  };
+  /// One context-bearing log, compacted to what session rebuild needs
+  /// (source and user are window intern ids).
+  using ContextLog = core::SessionRow;
   /// One (app, vocabulary entry) citation counter of one epoch.
   struct EpochCitation {
     uint32_t app = 0;

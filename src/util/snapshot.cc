@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cerrno>
@@ -295,8 +296,17 @@ Result<SectionCursor> SnapshotReader::Section(std::string_view name) const {
 }
 
 Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp_path = path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // One tmp file per writer: two writers of the same destination (a
+  // shard and its hedge persisting one partial) must never share an
+  // inode, or one could rename the file the other is still writing.
+  static std::atomic<uint64_t> next_tmp{0};
+  std::string tmp_path;
+  int fd = -1;
+  do {
+    tmp_path = path + ".tmp." + std::to_string(::getpid()) + "." +
+               std::to_string(next_tmp.fetch_add(1));
+    fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  } while (fd < 0 && errno == EEXIST);  // a dead process's leftover
   if (fd < 0) {
     return Status::Internal("cannot open for writing: " + tmp_path);
   }

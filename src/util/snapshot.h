@@ -124,10 +124,14 @@ class SnapshotReader {
 /// rename alone leaves a window where power loss forgets the rename and
 /// resurfaces the old file — or, worse, loses both names). A crash at
 /// any instant leaves either the old file or the complete new one at
-/// `path`, never a torn file and never a stray tmp. Failures are
-/// Internal (retryable, see util/retry.h); the tmp file is removed on
-/// every failure path. The shared crash-safety primitive of
-/// WriteSnapshotFile, WriteCorpusFile and the columnar writer.
+/// `path`, never a torn file. Every call writes its own tmp file
+/// (`<path>.tmp.<pid>.<n>`, created exclusively), so concurrent writers
+/// of one path never share an inode: the last rename wins and `path`
+/// always holds one writer's complete bytes. Failures are Internal
+/// (retryable, see util/retry.h); the tmp file is removed on every
+/// failure path (a killed process may leave its tmp behind). The shared
+/// crash-safety primitive of WriteSnapshotFile, WriteCorpusFile and the
+/// columnar writer.
 Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
 /// Writes `bytes` to `path` via `WriteFileAtomic`, recording checkpoint

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "log/codec.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::eval {
 namespace {
@@ -80,19 +81,11 @@ TEST_F(DatasetTest, StoreIsIndexedAndPopulated) {
 class DatasetCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("logmine_dataset_cache_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-    std::filesystem::create_directories(dir_);
     config_.simulation.num_days = 1;
     config_.simulation.scale = 0.02;
-    config_.corpus_cache_path = (dir_ / "corpus.lmc").string();
+    config_.corpus_cache_path = dir_.File("corpus.lmc");
   }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  std::filesystem::path dir_;
+  test::UniqueTempDir dir_;
   DatasetConfig config_;
 };
 

@@ -9,10 +9,10 @@
 
 #include "core/agrawal_miner.h"
 #include "core/l2_direction.h"
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
 #include "eval/load_experiment.h"
 #include "eval/report.h"
+#include "eval/resumable_runner.h"
 #include "eval/timeout_experiment.h"
 #include "log/slct.h"
 
@@ -39,25 +39,24 @@ class ExperimentsTest : public ::testing::Test {
 Dataset* ExperimentsTest::dataset_ = nullptr;
 
 TEST_F(ExperimentsTest, L3DailyRunnerProducesPerDayCounts) {
-  auto result = RunL3Daily(*dataset_, core::L3Config{});
+  auto result = RunDaily(*dataset_, Technique(core::L3Config{}));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().series.days.size(), 2u);
-  EXPECT_EQ(result.value().series.day_labels[0], "2005-12-06");
-  for (const core::ConfusionCounts& day : result.value().series.days) {
+  ASSERT_EQ(result.value().result.series.days.size(), 2u);
+  EXPECT_EQ(result.value().result.series.day_labels[0], "2005-12-06");
+  for (const core::ConfusionCounts& day : result.value().result.series.days) {
     EXPECT_GT(day.true_positives, 50);
     EXPECT_GT(day.tp_ratio(), 0.8);  // L3 is precise even at small scale
   }
-  EXPECT_GE(result.value().UnionModel().size(),
+  EXPECT_GE(result.value().result.UnionModel().size(),
             static_cast<size_t>(
-                result.value().series.days[0].positives()));
+                result.value().result.series.days[0].positives()));
 }
 
 TEST_F(ExperimentsTest, L2DailyRunnerReportsSessionStats) {
-  std::vector<core::SessionBuildStats> stats;
-  auto result = RunL2Daily(*dataset_, core::L2Config{}, &stats);
+  auto result = RunDaily(*dataset_, Technique(core::L2Config{}));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(stats.size(), 2u);
-  for (const core::SessionBuildStats& day : stats) {
+  ASSERT_EQ(result.value().session_stats.size(), 2u);
+  for (const core::SessionBuildStats& day : result.value().session_stats) {
     EXPECT_GT(day.num_sessions, 20u);
     EXPECT_GT(day.assigned_fraction, 0.02);
     EXPECT_LT(day.assigned_fraction, 0.2);
@@ -67,21 +66,21 @@ TEST_F(ExperimentsTest, L2DailyRunnerReportsSessionStats) {
 TEST_F(ExperimentsTest, L1DailyRunnerFindsSomething) {
   core::L1Config config;
   config.minlogs = 20;  // scaled corpus
-  auto result = RunL1Daily(*dataset_, config);
+  auto result = RunDaily(*dataset_, Technique(config));
   ASSERT_TRUE(result.ok());
-  for (const core::ConfusionCounts& day : result.value().series.days) {
+  for (const core::ConfusionCounts& day : result.value().result.series.days) {
     EXPECT_GT(day.true_positives, 3);
     EXPECT_GT(day.tp_ratio(), 0.45);
   }
 }
 
 TEST_F(ExperimentsTest, TpRatioCiNeedsEnoughDays) {
-  auto result = RunL3Daily(*dataset_, core::L3Config{});
+  auto result = RunDaily(*dataset_, Technique(core::L3Config{}));
   ASSERT_TRUE(result.ok());
   // Two days cannot support a 98% order-statistics CI.
-  EXPECT_FALSE(result.value().TpRatioCi(0.98).ok());
+  EXPECT_FALSE(result.value().result.TpRatioCi(0.98).ok());
   // A modest level works: [min, max] of 2 days covers 50%.
-  EXPECT_TRUE(result.value().TpRatioCi(0.4).ok());
+  EXPECT_TRUE(result.value().result.TpRatioCi(0.4).ok());
 }
 
 TEST_F(ExperimentsTest, TimeoutExperimentDifferencesAndSweep) {
@@ -212,10 +211,10 @@ TEST_F(ExperimentsTest, SlctMinesTemplatesFromTheCorpus) {
 }
 
 TEST_F(ExperimentsTest, ReportHelpersRender) {
-  auto result = RunL3Daily(*dataset_, core::L3Config{});
+  auto result = RunDaily(*dataset_, Technique(core::L3Config{}));
   ASSERT_TRUE(result.ok());
   std::ostringstream os;
-  PrintDailyFigure("Figure 8 (test)", result.value().series, os);
+  PrintDailyFigure("Figure 8 (test)", result.value().result.series, os);
   EXPECT_NE(os.str().find("Figure 8 (test)"), std::string::npos);
   EXPECT_NE(os.str().find("2005-12-06"), std::string::npos);
   EXPECT_NE(os.str().find('#'), std::string::npos);

@@ -1,5 +1,5 @@
-// Unit-level behavior of the checkpoint/resume layer on a small corpus.
-// The exhaustive kill-point sweep lives in
+// Unit-level behavior of the daily runner and its checkpoint/resume
+// layer on a small corpus. The exhaustive kill-point sweep lives in
 // tests/integration/crash_recovery_test.cc.
 
 #include "eval/resumable_runner.h"
@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "core/serialization.h"
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::eval {
 namespace {
@@ -35,27 +35,28 @@ class ResumableRunnerTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  /// A fresh empty checkpoint directory under the test tmpdir.
-  static std::string FreshDir(const std::string& name) {
-    const fs::path dir = fs::path(::testing::TempDir()) / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-  }
-
-  static uint64_t L3Hash(const core::L3Config& config,
-                         const core::ModelTrackerConfig& tracker) {
-    return CheckpointStateHash(core::ConfigFingerprint(config), *dataset_,
-                               tracker);
+  /// L1, L2 and L3, configured for the scaled-down corpus: the
+  /// per-technique tests run each of their checks over all three.
+  static std::vector<Technique> AllTechniques() {
+    core::L1Config l1;
+    // 0.1 of production volume: proportionally lower support floor,
+    // coarser slots to keep the test fast.
+    l1.minlogs = 8;
+    l1.slot_length = 2 * kMillisPerHour;
+    return {Technique(l1), Technique(core::L2Config{}),
+            Technique(core::L3Config{})};
   }
 
   /// Byte-level fingerprint of a run — the identity the whole layer
   /// guarantees.
-  static std::string Bytes(const core::L3Config& config,
+  static std::string Bytes(const Technique& technique,
                            const ResumableOptions& options,
                            const ResumableDailyResult& run) {
-    return CheckpointBytes(Technique::kL3, L3Hash(config, options.tracker),
-                           dataset_->num_days(), run);
+    return CheckpointBytes(
+        technique.id(),
+        CheckpointStateHash(technique.fingerprint(), *dataset_,
+                            options.tracker),
+        dataset_->num_days(), run);
   }
 
   static Dataset* dataset_;
@@ -64,77 +65,90 @@ class ResumableRunnerTest : public ::testing::Test {
 Dataset* ResumableRunnerTest::dataset_ = nullptr;
 
 TEST_F(ResumableRunnerTest, NoCheckpointDirMatchesPlainDailyRunner) {
-  const core::L3Config config;
-  auto plain = RunL3Daily(*dataset_, config);
-  ASSERT_TRUE(plain.ok()) << plain.status();
+  for (const Technique& technique : AllTechniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    ResumableOptions plain_options;  // checkpoint.dir empty => disabled
+    auto plain = RunDaily(*dataset_, technique, plain_options);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    const ResumableDailyResult& run = plain.value();
+    EXPECT_EQ(run.resume.days_loaded, 0);
+    EXPECT_EQ(run.resume.days_mined, 2);
+    EXPECT_EQ(run.resume.snapshots_written, 0);
+    EXPECT_EQ(run.resume.resumed_from, "");
+    EXPECT_EQ(run.tracker.num_observations(), 2);
+    EXPECT_EQ(run.session_stats.size(),
+              technique.id() == TechniqueId::kL2 ? 2u : 0u);
 
-  ResumableOptions options;  // checkpoint.dir empty => disabled
-  auto resumable = RunL3DailyResumable(*dataset_, config, options);
-  ASSERT_TRUE(resumable.ok()) << resumable.status();
-
-  const ResumableDailyResult& run = resumable.value();
-  EXPECT_EQ(run.resume.days_loaded, 0);
-  EXPECT_EQ(run.resume.days_mined, 2);
-  EXPECT_EQ(run.resume.snapshots_written, 0);
-  EXPECT_EQ(run.resume.resumed_from, "");
-  ASSERT_EQ(run.result.daily_models.size(),
-            plain.value().daily_models.size());
-  for (size_t d = 0; d < run.result.daily_models.size(); ++d) {
-    EXPECT_EQ(run.result.daily_models[d].pairs(),
-              plain.value().daily_models[d].pairs());
-    EXPECT_EQ(run.result.series.days[d].true_positives,
-              plain.value().series.days[d].true_positives);
-    EXPECT_EQ(run.result.series.days[d].false_positives,
-              plain.value().series.days[d].false_positives);
+    // The plain run is the day-by-day mining, and the checkpointed run
+    // produces the very same bytes.
+    ASSERT_EQ(run.result.daily_models.size(), 2u);
+    for (int day = 0; day < 2; ++day) {
+      auto mined = technique.MineDay(*dataset_, day);
+      ASSERT_TRUE(mined.ok()) << mined.status();
+      EXPECT_EQ(run.result.daily_models[day].pairs(),
+                mined.value().model.pairs());
+      EXPECT_EQ(run.result.series.days[day].true_positives,
+                mined.value().counts.true_positives);
+      EXPECT_EQ(run.result.series.days[day].false_positives,
+                mined.value().counts.false_positives);
+    }
+    const test::UniqueTempDir dir;
+    ResumableOptions checkpointed_options;
+    checkpointed_options.checkpoint.dir = dir.path().string();
+    auto checkpointed =
+        RunDaily(*dataset_, technique, checkpointed_options);
+    ASSERT_TRUE(checkpointed.ok()) << checkpointed.status();
+    EXPECT_EQ(checkpointed.value().resume.snapshots_written, 2);
+    EXPECT_EQ(Bytes(technique, plain_options, run),
+              Bytes(technique, checkpointed_options, checkpointed.value()));
   }
-  EXPECT_EQ(run.tracker.num_observations(), 2);
 }
 
 TEST_F(ResumableRunnerTest, SecondRunLoadsEverythingAndMinesNothing) {
-  const core::L3Config config;
-  ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_full");
+  for (const Technique& technique : AllTechniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    const test::UniqueTempDir dir;
+    ResumableOptions options;
+    options.checkpoint.dir = dir.path().string();
 
-  auto first = RunL3DailyResumable(*dataset_, config, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ(first.value().resume.days_mined, 2);
-  EXPECT_EQ(first.value().resume.snapshots_written, 2);
+    auto first = RunDaily(*dataset_, technique, options);
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(first.value().resume.days_mined, 2);
+    EXPECT_EQ(first.value().resume.snapshots_written, 2);
 
-  auto second = RunL3DailyResumable(*dataset_, config, options);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(second.value().resume.days_loaded, 2);
-  EXPECT_EQ(second.value().resume.days_mined, 0);
-  EXPECT_EQ(second.value().resume.snapshots_written, 0);
-  EXPECT_NE(second.value().resume.resumed_from, "");
+    auto second = RunDaily(*dataset_, technique, options);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(second.value().resume.days_loaded, 2);
+    EXPECT_EQ(second.value().resume.days_mined, 0);
+    EXPECT_EQ(second.value().resume.snapshots_written, 0);
+    EXPECT_NE(second.value().resume.resumed_from, "");
 
-  EXPECT_EQ(Bytes(config, options, first.value()),
-            Bytes(config, options, second.value()));
+    EXPECT_EQ(Bytes(technique, options, first.value()),
+              Bytes(technique, options, second.value()));
+  }
 }
 
 TEST_F(ResumableRunnerTest, KeepsOnlyConfiguredGenerations) {
-  const core::L3Config config;
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_prune");
+  options.checkpoint.dir = dir.path().string();
   options.checkpoint.keep_generations = 2;
 
-  auto run = RunL3DailyResumable(*dataset_, config, options);
+  auto run = RunDaily(*dataset_, Technique(core::L3Config{}), options);
   ASSERT_TRUE(run.ok()) << run.status();
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(options.checkpoint.dir)) {
-    files.push_back(entry.path().filename().string());
-  }
   // 2 days => generations 1 and 2, both within the keep window.
-  EXPECT_EQ(files.size(), 2u);
+  EXPECT_EQ(dir.FilesOtherThan().size(), 2u);
 }
 
 TEST_F(ResumableRunnerTest, ConfigChangeRefusesToResume) {
   core::L3Config config;
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_config_mismatch");
-  ASSERT_TRUE(RunL3DailyResumable(*dataset_, config, options).ok());
+  options.checkpoint.dir = dir.path().string();
+  ASSERT_TRUE(RunDaily(*dataset_, Technique(config), options).ok());
 
   config.min_citations += 1;  // result-relevant change
-  auto resumed = RunL3DailyResumable(*dataset_, config, options);
+  auto resumed = RunDaily(*dataset_, Technique(config), options);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -142,153 +156,150 @@ TEST_F(ResumableRunnerTest, ConfigChangeRefusesToResume) {
 TEST_F(ResumableRunnerTest, ThreadCountChangeResumesFine) {
   core::L3Config config;
   config.num_threads = 1;
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_threads");
-  auto first = RunL3DailyResumable(*dataset_, config, options);
+  options.checkpoint.dir = dir.path().string();
+  auto first = RunDaily(*dataset_, Technique(config), options);
   ASSERT_TRUE(first.ok());
 
   config.num_threads = 0;  // excluded from the fingerprint (PR 1 contract)
-  auto second = RunL3DailyResumable(*dataset_, config, options);
+  auto second = RunDaily(*dataset_, Technique(config), options);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second.value().resume.days_loaded, 2);
 }
 
 TEST_F(ResumableRunnerTest, TrackerConfigChangeRefusesToResume) {
-  const core::L3Config config;
+  const Technique technique(core::L3Config{});
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_tracker_mismatch");
-  ASSERT_TRUE(RunL3DailyResumable(*dataset_, config, options).ok());
+  options.checkpoint.dir = dir.path().string();
+  ASSERT_TRUE(RunDaily(*dataset_, technique, options).ok());
 
   options.tracker.confirm_after += 1;
-  auto resumed = RunL3DailyResumable(*dataset_, config, options);
+  auto resumed = RunDaily(*dataset_, technique, options);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ResumableRunnerTest, TruncatedNewestGenerationFallsBack) {
-  const core::L3Config config;
+  const Technique technique(core::L3Config{});
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_truncated");
+  options.checkpoint.dir = dir.path().string();
 
-  auto reference = RunL3DailyResumable(*dataset_, config, options);
+  auto reference = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(reference.ok());
 
   // Truncate the newest generation in place (simulated torn write that
   // somehow reached the final path).
-  const fs::path newest = fs::path(options.checkpoint.dir) / "ckpt-000002.snap";
+  const fs::path newest = dir.File("ckpt-000002.snap");
   ASSERT_TRUE(fs::exists(newest));
   const auto full_size = fs::file_size(newest);
   fs::resize_file(newest, full_size / 2);
 
-  auto recovered = RunL3DailyResumable(*dataset_, config, options);
+  auto recovered = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_GE(recovered.value().resume.generations_discarded, 1);
   EXPECT_EQ(recovered.value().resume.days_loaded, 1);  // fell back to gen 1
   EXPECT_EQ(recovered.value().resume.days_mined, 1);   // re-mined day 2
-  EXPECT_EQ(Bytes(config, options, reference.value()),
-            Bytes(config, options, recovered.value()));
+  EXPECT_EQ(Bytes(technique, options, reference.value()),
+            Bytes(technique, options, recovered.value()));
 }
 
 TEST_F(ResumableRunnerTest, GarbageNewestGenerationFallsBack) {
-  const core::L3Config config;
+  const Technique technique(core::L3Config{});
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_garbage");
-  auto reference = RunL3DailyResumable(*dataset_, config, options);
+  options.checkpoint.dir = dir.path().string();
+  auto reference = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(reference.ok());
 
   {
-    std::ofstream out(
-        fs::path(options.checkpoint.dir) / "ckpt-000099.snap",
-        std::ios::binary);
+    std::ofstream out(dir.File("ckpt-000099.snap"), std::ios::binary);
     out << "this is not a snapshot";
   }
-  auto recovered = RunL3DailyResumable(*dataset_, config, options);
+  auto recovered = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_GE(recovered.value().resume.generations_discarded, 1);
   EXPECT_EQ(recovered.value().resume.days_loaded, 2);
-  EXPECT_EQ(Bytes(config, options, reference.value()),
-            Bytes(config, options, recovered.value()));
+  EXPECT_EQ(Bytes(technique, options, reference.value()),
+            Bytes(technique, options, recovered.value()));
 }
 
 TEST_F(ResumableRunnerTest, PreCancelledTokenReturnsCancelled) {
   CancelToken cancel;
   cancel.Cancel();
-  ResumableOptions options;
-  options.cancel = &cancel;
-  auto run = RunL3DailyResumable(*dataset_, core::L3Config{}, options);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
-
-  DailyRunOptions daily;
-  daily.cancel = &cancel;
-  auto plain = RunL3Daily(*dataset_, core::L3Config{}, daily);
-  ASSERT_FALSE(plain.ok());
-  EXPECT_EQ(plain.status().code(), StatusCode::kCancelled);
+  for (const Technique& technique : AllTechniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    const test::UniqueTempDir dir;
+    for (const std::string& checkpoint_dir : {std::string(), dir.File("c")}) {
+      ResumableOptions options;
+      options.cancel = &cancel;
+      options.checkpoint.dir = checkpoint_dir;
+      auto run = RunDaily(*dataset_, technique, options);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+    }
+  }
 }
 
 TEST_F(ResumableRunnerTest, ExpiredDeadlineReturnsDeadlineExceeded) {
-  ResumableOptions options;
-  options.deadline_ms = -1;
-  auto run = RunL3DailyResumable(*dataset_, core::L3Config{}, options);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
-
-  DailyRunOptions daily;
-  daily.deadline_ms = -1;
-  for (auto technique : {1, 2, 3}) {
-    Status status = Status::OK();
-    if (technique == 1) {
-      status = RunL1Daily(*dataset_, core::L1Config{}, daily).status();
-    } else if (technique == 2) {
-      status =
-          RunL2Daily(*dataset_, core::L2Config{}, nullptr, daily).status();
-    } else {
-      status = RunL3Daily(*dataset_, core::L3Config{}, daily).status();
+  for (const Technique& technique : AllTechniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    const test::UniqueTempDir dir;
+    for (const std::string& checkpoint_dir : {std::string(), dir.File("c")}) {
+      ResumableOptions options;
+      options.deadline_ms = -1;
+      options.checkpoint.dir = checkpoint_dir;
+      auto run = RunDaily(*dataset_, technique, options);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
     }
-    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
-        << "technique L" << technique;
   }
 }
 
 TEST_F(ResumableRunnerTest, CancelledProgressIsCheckpointedAndResumable) {
   // Kill after day 1's checkpoint via the injector, then finish without
   // it: the second run loads day 1 and mines only day 2.
-  const core::L3Config config;
-  ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_partial");
-  sim::CrashInjector injector(
-      sim::CrashPlan{sim::KillPoint::kAfterCheckpoint, 0});
-  options.crash = &injector;
+  for (const Technique& technique : AllTechniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    const test::UniqueTempDir dir;
+    ResumableOptions options;
+    options.checkpoint.dir = dir.path().string();
+    sim::CrashInjector injector(
+        sim::CrashPlan{sim::KillPoint::kAfterCheckpoint, 0});
+    options.crash = &injector;
 
-  auto killed = RunL3DailyResumable(*dataset_, config, options);
-  ASSERT_FALSE(killed.ok());
-  EXPECT_TRUE(injector.fired());
-  EXPECT_EQ(killed.status().code(), StatusCode::kInternal);
+    auto killed = RunDaily(*dataset_, technique, options);
+    ASSERT_FALSE(killed.ok());
+    EXPECT_TRUE(injector.fired());
+    EXPECT_EQ(killed.status().code(), StatusCode::kInternal);
 
-  options.crash = nullptr;
-  auto finished = RunL3DailyResumable(*dataset_, config, options);
-  ASSERT_TRUE(finished.ok()) << finished.status();
-  EXPECT_EQ(finished.value().resume.days_loaded, 1);
-  EXPECT_EQ(finished.value().resume.days_mined, 1);
+    options.crash = nullptr;
+    auto finished = RunDaily(*dataset_, technique, options);
+    ASSERT_TRUE(finished.ok()) << finished.status();
+    EXPECT_EQ(finished.value().resume.days_loaded, 1);
+    EXPECT_EQ(finished.value().resume.days_mined, 1);
 
-  ResumableOptions clean;
-  auto uninterrupted = RunL3DailyResumable(*dataset_, config, clean);
-  ASSERT_TRUE(uninterrupted.ok());
-  EXPECT_EQ(Bytes(config, options, uninterrupted.value()),
-            Bytes(config, options, finished.value()));
+    auto uninterrupted = RunDaily(*dataset_, technique);
+    ASSERT_TRUE(uninterrupted.ok());
+    EXPECT_EQ(Bytes(technique, options, uninterrupted.value()),
+              Bytes(technique, options, finished.value()));
+  }
 }
 
 TEST_F(ResumableRunnerTest, ObsContextReceivesCheckpointMetricsAndSnapshot) {
-  const core::L3Config config;
+  const Technique technique(core::L3Config{});
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_obs");
+  options.checkpoint.dir = dir.path().string();
   obs::ObsContext context;
   // The snapshot writer and the day runners report through the global
   // context; install it the way the demo and bench binaries do.
   obs::ScopedGlobalObs scoped(&context);
   options.obs = &context;
 
-  auto first = RunL3DailyResumable(*dataset_, config, options);
+  auto first = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_TRUE(first.value().metrics.has_value());
   const obs::MetricsSnapshot& cold = *first.value().metrics;
@@ -297,7 +308,7 @@ TEST_F(ResumableRunnerTest, ObsContextReceivesCheckpointMetricsAndSnapshot) {
   EXPECT_EQ(cold.Value("checkpoint.snapshots_read"), 0);
   EXPECT_EQ(cold.Value("eval.days_mined"), 2);
 
-  auto second = RunL3DailyResumable(*dataset_, config, options);
+  auto second = RunDaily(*dataset_, technique, options);
   ASSERT_TRUE(second.ok()) << second.status();
   ASSERT_TRUE(second.value().metrics.has_value());
   const obs::MetricsSnapshot& warm = *second.value().metrics;
@@ -308,43 +319,76 @@ TEST_F(ResumableRunnerTest, ObsContextReceivesCheckpointMetricsAndSnapshot) {
   EXPECT_EQ(second.value().resume.days_loaded, 2);
 
   // Observability never leaks into the checkpoint identity.
-  EXPECT_EQ(Bytes(config, options, first.value()),
-            Bytes(config, options, second.value()));
+  EXPECT_EQ(Bytes(technique, options, first.value()),
+            Bytes(technique, options, second.value()));
 }
 
 TEST_F(ResumableRunnerTest, NoObsContextMeansNoSnapshotAttached) {
-  const core::L3Config config;
   ResumableOptions options;  // obs left null
-  auto run = RunL3DailyResumable(*dataset_, config, options);
+  auto run = RunDaily(*dataset_, Technique(core::L3Config{}), options);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_FALSE(run.value().metrics.has_value());
 }
 
 TEST_F(ResumableRunnerTest, SweepRunsSelectedTechniques) {
-  SweepConfig config;
-  config.run_l1 = false;  // L1 is the slow one; unit-level skips it
-  config.l1.minlogs = 8;
+  // L1 is the slow one; unit-level skips it.
+  const std::vector<Technique> techniques = {Technique(core::L2Config{}),
+                                             Technique(core::L3Config{})};
+  const test::UniqueTempDir dir;
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("resume_sweep");
+  options.checkpoint.dir = dir.path().string();
 
-  auto sweep = RunSweepResumable(*dataset_, config, options);
+  auto sweep = RunSweepResumable(*dataset_, techniques, options);
   ASSERT_TRUE(sweep.ok()) << sweep.status();
-  EXPECT_FALSE(sweep.value().l1.has_value());
-  ASSERT_TRUE(sweep.value().l2.has_value());
-  ASSERT_TRUE(sweep.value().l3.has_value());
-  EXPECT_EQ(sweep.value().l2->resume.days_mined, 2);
-  EXPECT_TRUE(
-      fs::exists(fs::path(options.checkpoint.dir) / "l2" / "ckpt-000002.snap"));
-  EXPECT_TRUE(
-      fs::exists(fs::path(options.checkpoint.dir) / "l3" / "ckpt-000002.snap"));
+  ASSERT_EQ(sweep.value().size(), 2u);
+  EXPECT_EQ(sweep.value()[0].resume.days_mined, 2);
+  EXPECT_EQ(sweep.value()[0].session_stats.size(), 2u);  // the L2 run
+  EXPECT_TRUE(fs::exists(dir.path() / "l2" / "ckpt-000002.snap"));
+  EXPECT_TRUE(fs::exists(dir.path() / "l3" / "ckpt-000002.snap"));
 
   // A re-run loads both techniques wholesale.
-  auto again = RunSweepResumable(*dataset_, config, options);
+  auto again = RunSweepResumable(*dataset_, techniques, options);
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again.value().l2->resume.days_loaded, 2);
-  EXPECT_EQ(again.value().l3->resume.days_loaded, 2);
-  EXPECT_EQ(again.value().l2->resume.days_mined, 0);
-  EXPECT_EQ(again.value().l3->resume.days_mined, 0);
+  for (const ResumableDailyResult& run : again.value()) {
+    EXPECT_EQ(run.resume.days_loaded, 2);
+    EXPECT_EQ(run.resume.days_mined, 0);
+  }
+
+  // Two runs of one technique would share its checkpoint stream.
+  auto twice = RunSweepResumable(
+      *dataset_, {Technique(core::L3Config{}), Technique(core::L3Config{})},
+      options);
+  ASSERT_FALSE(twice.ok());
+  EXPECT_EQ(twice.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ResumableRunnerTest, TechniqueIdsNamesAndSlicingAreStable) {
+  // The ids are stored in every checkpoint and the names are checkpoint
+  // subdirectories: both are on-disk formats.
+  const std::vector<Technique> techniques = AllTechniques();
+  EXPECT_EQ(static_cast<uint32_t>(techniques[0].id()), 1u);
+  EXPECT_EQ(static_cast<uint32_t>(techniques[1].id()), 2u);
+  EXPECT_EQ(static_cast<uint32_t>(techniques[2].id()), 3u);
+  EXPECT_EQ(techniques[0].name(), "l1");
+  EXPECT_EQ(techniques[1].name(), "l2");
+  EXPECT_EQ(techniques[2].name(), "l3");
+  EXPECT_EQ(Technique(core::L2Config{}).fingerprint(),
+            core::ConfigFingerprint(core::L2Config{}));
+
+  // Only L1 slices the pair universe; a day outside the dataset is
+  // OutOfRange for every technique.
+  for (const Technique& technique : techniques) {
+    SCOPED_TRACE(std::string(technique.name()));
+    EXPECT_EQ(technique.slices_pairs(), technique.id() == TechniqueId::kL1);
+    if (!technique.slices_pairs()) {
+      EXPECT_EQ(technique.MineDay(*dataset_, 0, core::PairRange{0, 2})
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(technique.MineDay(*dataset_, 2).status().code(),
+              StatusCode::kOutOfRange);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // The tentpole acceptance property of the sharded sweep supervisor: a
-// multi-day L1 sweep partitioned into (day × pair-range) shards and run
+// multi-day sweep partitioned into (day × pair-range) shards and run
 // under seeded chaos — workers killed, hung past their deadline,
 // delivering corrupt partial models, or merely slow — converges to
 // bytes identical to a fault-free run whenever every fault is
 // recoverable, and to an exactly-accounted degraded model when it is
 // not. Identity is asserted on MergedModelBytes, the serialized form
-// the supervisor itself merges and persists.
-
-#include <unistd.h>
+// the supervisor itself merges and persists. L1 shards over days and
+// pair ranges; L2 and L3, which do not slice pairs, over days only.
 
 #include <filesystem>
 #include <fstream>
@@ -19,10 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "core/serialization.h"
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
+#include "eval/resumable_runner.h"
 #include "eval/shard_supervisor.h"
 #include "simulation/crash_injector.h"
+#include "unique_temp_dir.h"
 #include "util/rng.h"
 
 namespace logmine::eval {
@@ -42,16 +42,20 @@ class ChaosSweepTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status();
     dataset_ = new Dataset(std::move(built).value());
 
-    auto clean = RunL1ShardedSweep(*dataset_, L1Cfg(), Supervisor());
-    ASSERT_TRUE(clean.ok()) << clean.status();
-    ASSERT_EQ(clean.value().outcome, SweepOutcome::kComplete);
-    reference_ = new std::string(core::MergedModelBytes(clean.value().merged));
+    references_ = new std::vector<std::string>;
+    for (const Technique& technique : Techniques()) {
+      auto clean =
+          RunShardedSweep(*dataset_, technique, Supervisor(technique));
+      ASSERT_TRUE(clean.ok()) << clean.status();
+      ASSERT_EQ(clean.value().outcome, SweepOutcome::kComplete);
+      references_->push_back(core::MergedModelBytes(clean.value().merged));
+    }
   }
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
-    delete reference_;
-    reference_ = nullptr;
+    delete references_;
+    references_ = nullptr;
   }
 
   static core::L1Config L1Cfg() {
@@ -63,9 +67,27 @@ class ChaosSweepTest : public ::testing::Test {
     return config;
   }
 
-  static ShardSupervisorConfig Supervisor() {
+  /// L1, L2 and L3, in TechniqueId order.
+  static std::vector<Technique> Techniques() {
+    return {Technique(L1Cfg()), Technique(core::L2Config{}),
+            Technique(core::L3Config{})};
+  }
+
+  /// Pair-range slices per day: kNumRanges where the technique slices
+  /// pairs, else 1.
+  static int Ranges(const Technique& technique) {
+    return technique.slices_pairs() ? kNumRanges : 1;
+  }
+
+  /// The fault-free MergedModelBytes of `technique`'s sweep.
+  static const std::string& Reference(const Technique& technique) {
+    return (*references_)[static_cast<size_t>(technique.id()) - 1];
+  }
+
+  static ShardSupervisorConfig Supervisor(
+      const Technique& technique = Technique(L1Cfg())) {
     ShardSupervisorConfig config;
-    config.num_ranges = kNumRanges;
+    config.num_ranges = Ranges(technique);
     // Tight enough that an injected hang trips fast, loose enough that
     // real mining of this corpus never does.
     config.shard_deadline_ms = 2000;
@@ -75,39 +97,45 @@ class ChaosSweepTest : public ::testing::Test {
     return config;
   }
 
-  static std::string FreshDir(const std::string& name) {
-    // Pid-suffixed: ctest runs each case as its own parallel process
-    // and every process rebuilds the suite-level reference.
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         (name + "_" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-  }
-
  protected:
   static Dataset* dataset_;
-  static std::string* reference_;  // fault-free MergedModelBytes
+  static std::vector<std::string>* references_;  // one per technique
 };
 
 Dataset* ChaosSweepTest::dataset_ = nullptr;
-std::string* ChaosSweepTest::reference_ = nullptr;
+std::vector<std::string>* ChaosSweepTest::references_ = nullptr;
 
 TEST_F(ChaosSweepTest, ShardedSweepMatchesPerDayMining) {
   // Ground truth from a different code path: mine each day unsliced
-  // with the plain daily runner and union.
-  core::DependencyModel expected_union;
-  auto clean = RunL1ShardedSweep(*dataset_, L1Cfg(), Supervisor());
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  for (int day = 0; day < dataset_->num_days(); ++day) {
-    auto outcome = RunL1Day(*dataset_, L1Cfg(), day);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_EQ(clean.value().merged.daily[day].pairs(),
-              outcome.value().model.pairs())
-        << "day " << day;
-    expected_union = expected_union.Union(outcome.value().model);
+  // with the plain daily runner and union — for every technique.
+  for (const Technique& technique : Techniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    auto clean = RunShardedSweep(*dataset_, technique, Supervisor(technique));
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_TRUE(clean.value().merged.coverage.complete());
+    auto daily = RunDaily(*dataset_, technique);
+    ASSERT_TRUE(daily.ok()) << daily.status();
+    const std::vector<core::DependencyModel>& models =
+        daily.value().result.daily_models;
+    ASSERT_EQ(models.size(), static_cast<size_t>(dataset_->num_days()));
+    for (int day = 0; day < dataset_->num_days(); ++day) {
+      EXPECT_EQ(clean.value().merged.daily[day].pairs(), models[day].pairs())
+          << "day " << day;
+    }
+    EXPECT_EQ(clean.value().merged.model.pairs(),
+              daily.value().result.UnionModel().pairs());
   }
-  EXPECT_EQ(clean.value().merged.model.pairs(), expected_union.pairs());
+}
+
+TEST_F(ChaosSweepTest, UnslicedTechniquesRefuseSeveralPairRanges) {
+  for (const Technique& technique : Techniques()) {
+    if (technique.slices_pairs()) continue;
+    ShardSupervisorConfig config = Supervisor(technique);
+    config.num_ranges = 2;
+    auto refused = RunShardedSweep(*dataset_, technique, config);
+    ASSERT_FALSE(refused.ok()) << technique.name();
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ChaosSweepTest, RecoverableChaosConvergesToByteIdenticalModels) {
@@ -115,30 +143,34 @@ TEST_F(ChaosSweepTest, RecoverableChaosConvergesToByteIdenticalModels) {
   // corruption and slowdown is eventually retried or hedged away, so
   // the merged bytes must equal the fault-free reference — the sharded
   // analogue of the crash-recovery byte-identity contract.
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    sim::ShardFaultPlanOptions options;
-    options.max_faulty_shards = 3;
-    options.max_times = 2;
-    options.permanent_fraction = 0.0;
-    const sim::ShardFaultPlan plan = sim::RandomShardFaultPlan(
-        &rng, dataset_->num_days(), kNumRanges, options);
-    sim::ShardFaultInjector injector(plan);
-    ASSERT_TRUE(injector.PermanentlyPoisoned().empty());
+  for (const Technique& technique : Techniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      sim::ShardFaultPlanOptions options;
+      options.max_faulty_shards = 3;
+      options.max_times = 2;
+      options.permanent_fraction = 0.0;
+      const sim::ShardFaultPlan plan = sim::RandomShardFaultPlan(
+          &rng, dataset_->num_days(), Ranges(technique), options);
+      sim::ShardFaultInjector injector(plan);
+      ASSERT_TRUE(injector.PermanentlyPoisoned().empty());
 
-    ShardSupervisorConfig config = Supervisor();
-    config.faults = &injector;
-    auto chaotic = RunL1ShardedSweep(*dataset_, L1Cfg(), config);
-    ASSERT_TRUE(chaotic.ok()) << "seed " << seed << ": " << chaotic.status();
-    EXPECT_EQ(chaotic.value().outcome, SweepOutcome::kComplete) << seed;
-    EXPECT_TRUE(chaotic.value().merged.coverage.complete()) << seed;
-    EXPECT_EQ(core::MergedModelBytes(chaotic.value().merged), *reference_)
-        << "seed " << seed << " diverged from the fault-free run";
-    // Slow shards complete without failing, so a plan may inject zero
-    // failures; anything the plan did break must show in the stats.
-    EXPECT_GE(chaotic.value().stats.attempts,
-              static_cast<int64_t>(dataset_->num_days() * kNumRanges))
-        << seed;
+      ShardSupervisorConfig config = Supervisor(technique);
+      config.faults = &injector;
+      auto chaotic = RunShardedSweep(*dataset_, technique, config);
+      ASSERT_TRUE(chaotic.ok()) << "seed " << seed << ": " << chaotic.status();
+      EXPECT_EQ(chaotic.value().outcome, SweepOutcome::kComplete) << seed;
+      EXPECT_TRUE(chaotic.value().merged.coverage.complete()) << seed;
+      EXPECT_EQ(core::MergedModelBytes(chaotic.value().merged),
+                Reference(technique))
+          << "seed " << seed << " diverged from the fault-free run";
+      // Slow shards complete without failing, so a plan may inject zero
+      // failures; anything the plan did break must show in the stats.
+      EXPECT_GE(chaotic.value().stats.attempts,
+                static_cast<int64_t>(dataset_->num_days() * Ranges(technique)))
+          << seed;
+    }
   }
 }
 
@@ -157,8 +189,9 @@ TEST_F(ChaosSweepTest, PermanentFaultsDegradeWithExactCoverageAccounting) {
   ShardSupervisorConfig config = Supervisor();
   config.shard_deadline_ms = 30;  // hangs trip fast
   config.faults = &injector;
-  config.partial_dir = FreshDir("chaos_partials");
-  auto degraded = RunL1ShardedSweep(*dataset_, L1Cfg(), config);
+  const test::UniqueTempDir dir;
+  config.partial_dir = dir.path().string();
+  auto degraded = RunShardedSweep(*dataset_, Technique(L1Cfg()), config);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   EXPECT_EQ(degraded.value().outcome, SweepOutcome::kDegraded);
 
@@ -196,27 +229,32 @@ TEST_F(ChaosSweepTest, PermanentFaultsDegradeWithExactCoverageAccounting) {
 }
 
 TEST_F(ChaosSweepTest, PersistedPartialsParseBackToTheMergedInputs) {
-  ShardSupervisorConfig config = Supervisor();
-  config.partial_dir = FreshDir("clean_partials");
-  auto swept = RunL1ShardedSweep(*dataset_, L1Cfg(), config);
-  ASSERT_TRUE(swept.ok()) << swept.status();
-  std::vector<core::PartialModel> parts;
-  for (const auto& entry : fs::directory_iterator(config.partial_dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    auto parsed = core::ParsePartialModelBytes(std::move(bytes));
-    ASSERT_TRUE(parsed.ok()) << entry.path() << ": " << parsed.status();
-    EXPECT_EQ(parsed.value().state_hash, swept.value().state_hash);
-    parts.push_back(std::move(parsed).value());
+  for (const Technique& technique : Techniques()) {
+    SCOPED_TRACE(std::string(technique.name()));
+    ShardSupervisorConfig config = Supervisor(technique);
+    const test::UniqueTempDir dir;
+    config.partial_dir = dir.path().string();
+    auto swept = RunShardedSweep(*dataset_, technique, config);
+    ASSERT_TRUE(swept.ok()) << swept.status();
+    std::vector<core::PartialModel> parts;
+    for (const auto& entry : fs::directory_iterator(config.partial_dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::string bytes((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+      auto parsed = core::ParsePartialModelBytes(std::move(bytes));
+      ASSERT_TRUE(parsed.ok()) << entry.path() << ": " << parsed.status();
+      EXPECT_EQ(parsed.value().state_hash, swept.value().state_hash);
+      parts.push_back(std::move(parsed).value());
+    }
+    const int ranges = Ranges(technique);
+    ASSERT_EQ(parts.size(),
+              static_cast<size_t>(dataset_->num_days() * ranges));
+    auto remerged =
+        core::MergePartialModels(dataset_->num_days(), ranges, parts);
+    ASSERT_TRUE(remerged.ok()) << remerged.status();
+    EXPECT_EQ(core::MergedModelBytes(remerged.value()),
+              core::MergedModelBytes(swept.value().merged));
   }
-  ASSERT_EQ(parts.size(),
-            static_cast<size_t>(dataset_->num_days() * kNumRanges));
-  auto remerged = core::MergePartialModels(dataset_->num_days(), kNumRanges,
-                                           parts);
-  ASSERT_TRUE(remerged.ok()) << remerged.status();
-  EXPECT_EQ(core::MergedModelBytes(remerged.value()),
-            core::MergedModelBytes(swept.value().merged));
 }
 
 }  // namespace

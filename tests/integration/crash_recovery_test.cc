@@ -7,9 +7,6 @@
 // itself persists, so any drift in models, series rows, session stats
 // or tracker state anywhere in the stack fails the test.
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -19,11 +16,10 @@
 #include "eval/dataset.h"
 #include "eval/resumable_runner.h"
 #include "simulation/crash_injector.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::eval {
 namespace {
-
-namespace fs = std::filesystem;
 
 class CrashRecoveryTest : public ::testing::Test {
  public:
@@ -36,10 +32,12 @@ class CrashRecoveryTest : public ::testing::Test {
     dataset_ = new Dataset(std::move(built).value());
 
     ResumableOptions options;
-    options.checkpoint.dir = FreshDir("crash_reference");
-    auto reference = RunSweepResumable(*dataset_, Config(), options);
+    const test::UniqueTempDir dir;
+    options.checkpoint.dir = dir.path().string();
+    auto reference = RunSweepResumable(*dataset_, Techniques(), options);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    reference_ = new SweepResult(std::move(reference).value());
+    reference_ =
+        new std::vector<ResumableDailyResult>(std::move(reference).value());
   }
   static void TearDownTestSuite() {
     delete dataset_;
@@ -48,78 +46,63 @@ class CrashRecoveryTest : public ::testing::Test {
     reference_ = nullptr;
   }
 
-  static SweepConfig Config() {
-    SweepConfig config;
+  /// L1, L2 and L3, in TechniqueId order.
+  static std::vector<Technique> Techniques() {
+    core::L1Config l1;
     // Scaled-down corpus (0.1 of production volume): proportionally
     // lower L1 support floor, coarser slots to keep the test fast.
-    config.l1.minlogs = 8;
-    config.l1.slot_length = 2 * kMillisPerHour;
-    return config;
-  }
-
-  static std::string FreshDir(const std::string& name) {
-    // Suffixed with the pid: ctest runs each case of this suite as its
-    // own parallel process, and every process rebuilds the suite-level
-    // reference dir in SetUpTestSuite — fixed names would collide.
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         (name + "_" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
+    l1.minlogs = 8;
+    l1.slot_length = 2 * kMillisPerHour;
+    return {Technique(l1), Technique(core::L2Config{}),
+            Technique(core::L3Config{})};
   }
 
   /// The serialized form of one technique's run — the byte string whose
   /// equality the recovery contract promises.
-  static std::string Bytes(Technique technique, uint64_t config_fp,
+  static std::string Bytes(const Technique& technique,
                            const ResumableOptions& options,
                            const ResumableDailyResult& run) {
     return CheckpointBytes(
-        technique, CheckpointStateHash(config_fp, *dataset_, options.tracker),
+        technique.id(),
+        CheckpointStateHash(technique.fingerprint(), *dataset_,
+                            options.tracker),
         dataset_->num_days(), run);
   }
 
-  /// Asserts `sweep` is byte-identical to the uninterrupted reference,
-  /// technique by technique.
-  static void ExpectIdenticalToReference(const SweepResult& sweep,
-                                         const ResumableOptions& options,
-                                         const std::string& context) {
-    const SweepConfig config = Config();
-    ASSERT_TRUE(sweep.l1.has_value()) << context;
-    ASSERT_TRUE(sweep.l2.has_value()) << context;
-    ASSERT_TRUE(sweep.l3.has_value()) << context;
-    EXPECT_EQ(Bytes(Technique::kL1, core::ConfigFingerprint(config.l1),
-                    options, *sweep.l1),
-              Bytes(Technique::kL1, core::ConfigFingerprint(config.l1),
-                    options, *reference_->l1))
-        << context << ": L1 diverged";
-    EXPECT_EQ(Bytes(Technique::kL2, core::ConfigFingerprint(config.l2),
-                    options, *sweep.l2),
-              Bytes(Technique::kL2, core::ConfigFingerprint(config.l2),
-                    options, *reference_->l2))
-        << context << ": L2 diverged";
-    EXPECT_EQ(Bytes(Technique::kL3, core::ConfigFingerprint(config.l3),
-                    options, *sweep.l3),
-              Bytes(Technique::kL3, core::ConfigFingerprint(config.l3),
-                    options, *reference_->l3))
-        << context << ": L3 diverged";
+  /// Asserts `sweep` (one run per entry of `techniques`) is
+  /// byte-identical to the uninterrupted reference, technique by
+  /// technique.
+  static void ExpectIdenticalToReference(
+      const std::vector<ResumableDailyResult>& sweep,
+      const std::vector<Technique>& techniques,
+      const ResumableOptions& options, const std::string& context) {
+    ASSERT_EQ(sweep.size(), techniques.size()) << context;
+    for (size_t i = 0; i < techniques.size(); ++i) {
+      const size_t ref = static_cast<size_t>(techniques[i].id()) - 1;
+      EXPECT_EQ(Bytes(techniques[i], options, sweep[i]),
+                Bytes(techniques[i], options, (*reference_)[ref]))
+          << context << ": " << techniques[i].name() << " diverged";
+    }
   }
 
   static Dataset* dataset_;
-  static SweepResult* reference_;
+  static std::vector<ResumableDailyResult>* reference_;
 };
 
 Dataset* CrashRecoveryTest::dataset_ = nullptr;
-SweepResult* CrashRecoveryTest::reference_ = nullptr;
+std::vector<ResumableDailyResult>* CrashRecoveryTest::reference_ = nullptr;
 
 /// Kills one sweep at `plan`, asserts the death was the simulated one,
 /// reruns without the injector and checks byte-identity.
-void KillAndRecover(const Dataset& dataset, const SweepConfig& config,
+void KillAndRecover(const Dataset& dataset,
+                    const std::vector<Technique>& techniques,
                     sim::CrashPlan plan, ResumableOptions options,
                     const std::string& context,
-                    SweepResult* recovered_out = nullptr) {
+                    std::vector<ResumableDailyResult>* recovered_out =
+                        nullptr) {
   sim::CrashInjector injector(plan);
   options.crash = &injector;
-  auto killed = RunSweepResumable(dataset, config, options);
+  auto killed = RunSweepResumable(dataset, techniques, options);
   ASSERT_FALSE(killed.ok()) << context << ": injector never reached";
   ASSERT_TRUE(injector.fired()) << context;
   EXPECT_EQ(killed.status().code(), StatusCode::kInternal) << context;
@@ -128,34 +111,37 @@ void KillAndRecover(const Dataset& dataset, const SweepConfig& config,
       << context << ": " << killed.status();
 
   options.crash = nullptr;
-  auto recovered = RunSweepResumable(dataset, config, options);
+  auto recovered = RunSweepResumable(dataset, techniques, options);
   ASSERT_TRUE(recovered.ok()) << context << ": " << recovered.status();
   if (recovered_out != nullptr) *recovered_out = recovered.value();
-  CrashRecoveryTest::ExpectIdenticalToReference(recovered.value(), options,
-                                                context);
+  CrashRecoveryTest::ExpectIdenticalToReference(recovered.value(), techniques,
+                                                options, context);
 }
 
 TEST_F(CrashRecoveryTest, EveryKillPointRecoversToIdenticalBytes) {
-  for (const sim::KillPoint point :
-       {sim::KillPoint::kAfterDayMined, sim::KillPoint::kMidSnapshotWrite,
-        sim::KillPoint::kAfterCheckpoint}) {
-    for (int day = 0; day < dataset_->num_days(); ++day) {
-      const std::string context = std::string(sim::KillPointName(point)) +
-                                  " #" + std::to_string(day);
-      ResumableOptions options;
-      options.checkpoint.dir = FreshDir("crash_" + std::to_string(
-                                            static_cast<int>(point)) +
-                                        "_" + std::to_string(day));
-      SweepResult recovered;
-      KillAndRecover(*dataset_, Config(), sim::CrashPlan{point, day},
-                     options, context, &recovered);
-      if (HasFatalFailure()) return;
-      if (point == sim::KillPoint::kMidSnapshotWrite) {
-        // The torn file reached the final checkpoint path; recovery must
-        // have discarded it and fallen back (or restarted fresh).
-        ASSERT_TRUE(recovered.l1.has_value());
-        EXPECT_GE(recovered.l1->resume.generations_discarded, 1) << context;
-        EXPECT_EQ(recovered.l1->resume.days_loaded, day) << context;
+  // Day-granular kill points fire in the first technique of a sweep, so
+  // each technique is swept on its own to be killed at every point.
+  for (const Technique& technique : Techniques()) {
+    for (const sim::KillPoint point :
+         {sim::KillPoint::kAfterDayMined, sim::KillPoint::kMidSnapshotWrite,
+          sim::KillPoint::kAfterCheckpoint}) {
+      for (int day = 0; day < dataset_->num_days(); ++day) {
+        const std::string context = std::string(technique.name()) + " " +
+                                    std::string(sim::KillPointName(point)) +
+                                    " #" + std::to_string(day);
+        ResumableOptions options;
+        const test::UniqueTempDir dir;
+        options.checkpoint.dir = dir.path().string();
+        std::vector<ResumableDailyResult> recovered;
+        KillAndRecover(*dataset_, {technique}, sim::CrashPlan{point, day},
+                       options, context, &recovered);
+        if (HasFatalFailure()) return;
+        if (point == sim::KillPoint::kMidSnapshotWrite) {
+          // The torn file reached the final checkpoint path; recovery
+          // must have discarded it and fallen back (or restarted fresh).
+          EXPECT_GE(recovered[0].resume.generations_discarded, 1) << context;
+          EXPECT_EQ(recovered[0].resume.days_loaded, day) << context;
+        }
       }
     }
   }
@@ -167,21 +153,18 @@ TEST_F(CrashRecoveryTest, TechniqueBoundaryKillsRecoverToIdenticalBytes) {
     const std::string context =
         "between-miners #" + std::to_string(boundary);
     ResumableOptions options;
-    options.checkpoint.dir = FreshDir("crash_boundary_" +
-                                      std::to_string(boundary));
-    SweepResult recovered;
-    KillAndRecover(*dataset_, Config(),
+    const test::UniqueTempDir dir;
+    options.checkpoint.dir = dir.path().string();
+    std::vector<ResumableDailyResult> recovered;
+    KillAndRecover(*dataset_, Techniques(),
                    sim::CrashPlan{sim::KillPoint::kBetweenMiners, boundary},
                    options, context, &recovered);
     if (HasFatalFailure()) return;
     // Techniques finished before the boundary are loaded wholesale.
-    ASSERT_TRUE(recovered.l1.has_value());
-    EXPECT_EQ(recovered.l1->resume.days_loaded, dataset_->num_days())
-        << context;
-    EXPECT_EQ(recovered.l1->resume.days_mined, 0) << context;
-    if (boundary >= 1) {
-      ASSERT_TRUE(recovered.l2.has_value());
-      EXPECT_EQ(recovered.l2->resume.days_mined, 0) << context;
+    for (int i = 0; i <= boundary; ++i) {
+      EXPECT_EQ(recovered[i].resume.days_loaded, dataset_->num_days())
+          << context;
+      EXPECT_EQ(recovered[i].resume.days_mined, 0) << context;
     }
   }
 }
@@ -197,8 +180,9 @@ TEST_F(CrashRecoveryTest, RandomSeededPlansAllRecover) {
                                 std::string(sim::KillPointName(plan.point)) +
                                 " #" + std::to_string(plan.index);
     ResumableOptions options;
-    options.checkpoint.dir = FreshDir("crash_seed_" + std::to_string(seed));
-    KillAndRecover(*dataset_, Config(), plan, options, context);
+    const test::UniqueTempDir dir;
+    options.checkpoint.dir = dir.path().string();
+    KillAndRecover(*dataset_, Techniques(), plan, options, context);
     if (HasFatalFailure()) return;
   }
 }
@@ -207,25 +191,27 @@ TEST_F(CrashRecoveryTest, DoubleCrashStillConverges) {
   // Two successive deaths — one torn write, then a clean kill later —
   // followed by a final recovery.
   ResumableOptions options;
-  options.checkpoint.dir = FreshDir("crash_double");
-  const SweepConfig config = Config();
+  const test::UniqueTempDir dir;
+  options.checkpoint.dir = dir.path().string();
+  const std::vector<Technique> techniques = Techniques();
 
   sim::CrashInjector first(
       sim::CrashPlan{sim::KillPoint::kMidSnapshotWrite, 0});
   options.crash = &first;
-  ASSERT_FALSE(RunSweepResumable(*dataset_, config, options).ok());
+  ASSERT_FALSE(RunSweepResumable(*dataset_, techniques, options).ok());
   ASSERT_TRUE(first.fired());
 
   sim::CrashInjector second(
       sim::CrashPlan{sim::KillPoint::kBetweenMiners, 1});
   options.crash = &second;
-  ASSERT_FALSE(RunSweepResumable(*dataset_, config, options).ok());
+  ASSERT_FALSE(RunSweepResumable(*dataset_, techniques, options).ok());
   ASSERT_TRUE(second.fired());
 
   options.crash = nullptr;
-  auto recovered = RunSweepResumable(*dataset_, config, options);
+  auto recovered = RunSweepResumable(*dataset_, techniques, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  ExpectIdenticalToReference(recovered.value(), options, "double crash");
+  ExpectIdenticalToReference(recovered.value(), techniques, options,
+                             "double crash");
 }
 
 }  // namespace

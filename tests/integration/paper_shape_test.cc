@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
 #include "eval/load_experiment.h"
+#include "eval/resumable_runner.h"
 #include "eval/timeout_experiment.h"
 #include "stats/descriptive.h"
 
@@ -24,20 +24,21 @@ class PaperShapeTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status();
     dataset_ = new Dataset(std::move(built).value());
 
-    auto l3 = RunL3Daily(*dataset_, core::L3Config{});
+    auto l3 = RunDaily(*dataset_, Technique(core::L3Config{}));
     ASSERT_TRUE(l3.ok());
-    l3_ = new DailyRunResult(std::move(l3).value());
+    l3_ = new DailyRunResult(std::move(l3).value().result);
 
-    auto l2 = RunL2Daily(*dataset_, core::L2Config{}, &session_stats_);
+    auto l2 = RunDaily(*dataset_, Technique(core::L2Config{}));
     ASSERT_TRUE(l2.ok());
-    l2_ = new DailyRunResult(std::move(l2).value());
+    session_stats_ = l2.value().session_stats;
+    l2_ = new DailyRunResult(std::move(l2).value().result);
 
     core::L1Config l1_config;
     l1_config.minlogs = 15;  // volume-scaled minlogs
     l1_config.test.sample_size = 100;
-    auto l1 = RunL1Daily(*dataset_, l1_config);
+    auto l1 = RunDaily(*dataset_, Technique(l1_config));
     ASSERT_TRUE(l1.ok());
-    l1_ = new DailyRunResult(std::move(l1).value());
+    l1_ = new DailyRunResult(std::move(l1).value().result);
   }
   static void TearDownTestSuite() {
     delete dataset_;
@@ -132,7 +133,7 @@ TEST_F(PaperShapeTest, SessionCountsDipOnWeekend) {
 TEST_F(PaperShapeTest, StopPatternsSuppressInvertedDependencies) {
   core::L3Config no_stop;
   no_stop.use_stop_patterns = false;
-  auto without = RunL3Daily(*dataset_, no_stop);
+  auto without = RunDaily(*dataset_, Technique(no_stop));
   ASSERT_TRUE(without.ok());
   auto inverted_count = [&](const core::DependencyModel& model) {
     int count = 0;
@@ -148,7 +149,7 @@ TEST_F(PaperShapeTest, StopPatternsSuppressInvertedDependencies) {
   };
   const int with_patterns = inverted_count(l3_->UnionModel());
   const int without_patterns =
-      inverted_count(without.value().UnionModel());
+      inverted_count(without.value().result.UnionModel());
   // Paper: 2 with stop patterns vs 24 without.
   EXPECT_LE(with_patterns, 4);
   EXPECT_GE(without_patterns, 15);

@@ -24,19 +24,12 @@
 #include "serve/streaming_service.h"
 #include "simulation/crash_injector.h"
 #include "simulation/service_faults.h"
+#include "unique_temp_dir.h"
 
 namespace logmine {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       (name + "_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 std::vector<std::string> BundlePaths(const std::string& dir) {
   std::vector<std::string> paths;
@@ -84,9 +77,11 @@ TEST(PostmortemChaosTest, DegradedSweepCapturesABundle) {
   config.poll_ms = 1;
   config.faults = &injector;
   config.obs = &context;
-  config.postmortem.dir = FreshDir("pm_sweep");
+  const test::UniqueTempDir dir;
+  config.postmortem.dir = dir.path().string();
 
-  auto swept = eval::RunL1ShardedSweep(dataset.value(), l1, config);
+  auto swept =
+      eval::RunShardedSweep(dataset.value(), eval::Technique(l1), config);
   ASSERT_TRUE(swept.ok()) << swept.status();
   ASSERT_EQ(swept.value().outcome, eval::SweepOutcome::kDegraded);
 
@@ -143,7 +138,8 @@ TEST(PostmortemChaosTest, QuarantinedBatchCapturesABundle) {
   auto clock = std::make_shared<int64_t>(0);
   obs::ObsContext context;
   serve::ServiceConfig config = ServeConfig(dataset, clock, &context);
-  config.postmortem.dir = FreshDir("pm_poison");
+  const test::UniqueTempDir dir;
+  config.postmortem.dir = dir.path().string();
 
   sim::ServiceFaultPlan plan;
   plan.faults.push_back({/*index=*/2, sim::ServiceFault::kPoisonBatch});
@@ -182,8 +178,10 @@ TEST(PostmortemChaosTest, CrashMidPublishCapturesABundle) {
   auto clock = std::make_shared<int64_t>(0);
   obs::ObsContext context;
   serve::ServiceConfig config = ServeConfig(dataset, clock, &context);
-  config.postmortem.dir = FreshDir("pm_crash");
-  config.state_path = FreshDir("pm_crash_state") + "/state.snapshot";
+  const test::UniqueTempDir dir;
+  config.postmortem.dir = dir.path().string();
+  const test::UniqueTempDir state_dir;
+  config.state_path = state_dir.File("state.snapshot");
 
   sim::ServiceFaultPlan plan;
   plan.faults.push_back({/*index=*/2, sim::ServiceFault::kCrashMidPublish});
@@ -225,7 +223,8 @@ TEST(PostmortemChaosTest, HealthRegressionCapturesABundle) {
   auto clock = std::make_shared<int64_t>(0);
   obs::ObsContext context;
   serve::ServiceConfig config = ServeConfig(dataset, clock, &context);
-  config.postmortem.dir = FreshDir("pm_health");
+  const test::UniqueTempDir dir;
+  config.postmortem.dir = dir.path().string();
 
   auto created = serve::StreamingMiningService::Create(config);
   ASSERT_TRUE(created.ok()) << created.status();

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "eval/dataset.h"
 #include "serve/streaming_service.h"
 #include "simulation/service_faults.h"
+#include "unique_temp_dir.h"
 #include "util/rng.h"
 #include "util/snapshot.h"
 
@@ -32,15 +32,6 @@ eval::Dataset BuildSeededDataset(uint64_t seed) {
   auto built = eval::BuildDataset(config);
   EXPECT_TRUE(built.ok()) << built.status();
   return std::move(built).value();
-}
-
-std::string FreshStatePath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("logmine_chaos_" + name);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  std::filesystem::create_directories(dir);
-  return (dir / "state.snapshot").string();
 }
 
 ServiceConfig ChaosConfig(const eval::Dataset& dataset,
@@ -235,11 +226,10 @@ TEST_P(StreamingChaosTest, ServiceSurvivesARandomFaultPlan) {
       &rng, /*num_epochs=*/24, /*num_queries=*/12, fault_options));
 
   auto clock = std::make_shared<int64_t>(0);
-  ChaosDriver driver(
-      dataset,
-      ChaosConfig(dataset, clock,
-                  FreshStatePath("sweep_" + std::to_string(seed))),
-      injector, clock);
+  const test::UniqueTempDir dir;
+  ChaosDriver driver(dataset,
+                     ChaosConfig(dataset, clock, dir.File("state.snapshot")),
+                     injector, clock);
   if (::testing::Test::HasFatalFailure()) return;
 
   const std::string target = dataset.entry_owner.empty()
@@ -302,7 +292,8 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
   ASSERT_TRUE(batches.ok()) << batches.status();
 
   // The reference: the same day, never interrupted.
-  const std::string reference_path = FreshStatePath("identity_reference");
+  const test::UniqueTempDir dir;
+  const std::string reference_path = dir.File("reference.snapshot");
   {
     ServiceConfig config = ChaosConfig(dataset, clock, reference_path);
     config.max_queue_batches = 25;
@@ -330,7 +321,7 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
         {crash_index, sim::ServiceFault::kCrashMidPublish});
     const sim::ServiceFaultInjector injector(plan);
     const std::string state_path =
-        FreshStatePath("identity_" + std::to_string(crash_index));
+        dir.File("identity_" + std::to_string(crash_index) + ".snapshot");
     ServiceConfig config = ChaosConfig(dataset, clock, state_path);
     config.max_queue_batches = 25;
     config.faults = &injector;

@@ -1,6 +1,5 @@
 #include "log/columnar.h"
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 
 #include "log/codec.h"
 #include "log/corpus_io.h"
+#include "unique_temp_dir.h"
 #include "util/rng.h"
 
 namespace logmine {
@@ -184,16 +184,14 @@ TEST(ColumnarTest, TruncationIsAParseError) {
 }
 
 TEST(ColumnarTest, FileRoundTripAndCorpusAutodetection) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "logmine_columnar_test";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "corpus.lmc").string();
+  const test::UniqueTempDir dir;
+  const std::string path = dir.File("corpus.lmc");
 
   LogStore store;
   ASSERT_TRUE(store.Append(Rec(300, "B", "later")).ok());
   ASSERT_TRUE(store.Append(Rec(100, "A", "earlier")).ok());
   ASSERT_TRUE(WriteColumnarFile(path, store).ok());
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(dir.FilesOtherThan("corpus.lmc").empty());
 
   auto direct = ReadColumnarFile(path);
   ASSERT_TRUE(direct.ok()) << direct.status();
@@ -206,8 +204,6 @@ TEST(ColumnarTest, FileRoundTripAndCorpusAutodetection) {
   EXPECT_TRUE(detected.value().index_built());
   EXPECT_EQ(detected.value().size(), 2u);
   EXPECT_EQ(detected.value().GetRecord(0).source, "B");  // insertion order
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ColumnarTest, TextCorpusIsNotMistakenForColumnar) {

@@ -7,23 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include "unique_temp_dir.h"
+
 namespace logmine {
 namespace {
 
 class CorpusIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("logmine_corpus_io_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
-             ".log");
-  }
-  void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
-  }
-  std::filesystem::path path_;
+  test::UniqueTempDir dir_;
+  const std::filesystem::path path_ = dir_.File("corpus.log");
 };
 
 LogRecord Rec(TimeMs ts, std::string source, std::string message) {
@@ -93,7 +85,7 @@ TEST_F(CorpusIoTest, WriteLeavesNoTempFileBehind) {
   store.BuildIndex();
   ASSERT_TRUE(WriteCorpusFile(store, path_.string()).ok());
   EXPECT_TRUE(std::filesystem::exists(path_));
-  EXPECT_FALSE(std::filesystem::exists(path_.string() + ".tmp"));
+  EXPECT_TRUE(dir_.FilesOtherThan("corpus.log").empty());
 }
 
 TEST_F(CorpusIoTest, WriteReplacesExistingCorpusAtomically) {
@@ -114,7 +106,7 @@ TEST_F(CorpusIoTest, WriteReplacesExistingCorpusAtomically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded.value().size(), 2u);
   EXPECT_EQ(loaded.value().GetRecord(0).source, "NEW");
-  EXPECT_FALSE(std::filesystem::exists(path_.string() + ".tmp"));
+  EXPECT_TRUE(dir_.FilesOtherThan("corpus.log").empty());
 }
 
 TEST_F(CorpusIoTest, QuarantineReadSkipsBadLinesAndReportsStats) {
@@ -206,9 +198,11 @@ TEST_F(CorpusIoTest, FailedWriteNeverLeavesATempFile) {
   LogStore store;
   ASSERT_TRUE(store.Append(Rec(100, "A", "one")).ok());
   store.BuildIndex();
-  const std::string bad_path = "/nonexistent/dir/out.log";
-  ASSERT_FALSE(WriteCorpusFile(store, bad_path).ok());
-  EXPECT_FALSE(std::filesystem::exists(bad_path + ".tmp"));
+  // The destination is a directory: the temp file is written, then the
+  // rename fails, and the writer must remove what it wrote.
+  std::filesystem::create_directory(path_);
+  ASSERT_FALSE(WriteCorpusFile(store, path_.string()).ok());
+  EXPECT_TRUE(dir_.FilesOtherThan("corpus.log").empty());
 }
 
 TEST_F(CorpusIoTest, ChunkedReadMatchesSerialRead) {

@@ -11,18 +11,12 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::obs {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempDir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::in | std::ios::binary);
@@ -40,7 +34,8 @@ size_t CountLines(const std::string& text) {
 }
 
 TEST(JournalTest, EmitsWideEventsWithRunAndSpanIds) {
-  const std::string dir = TempDir("logmine_journal_emit");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   JournalOptions options;
   options.path = dir + "/journal.jsonl";
   Journal journal(options);
@@ -96,7 +91,8 @@ TEST(JournalTest, TailIsBoundedByCapacity) {
 }
 
 TEST(JournalTest, RotatesWhenFileExceedsThreshold) {
-  const std::string dir = TempDir("logmine_journal_rotate");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   JournalOptions options;
   options.path = dir + "/journal.jsonl";
   options.max_bytes_per_file = 512;
@@ -124,7 +120,8 @@ TEST(JournalTest, RotatesWhenFileExceedsThreshold) {
 }
 
 TEST(JournalTest, ConcurrentEmittersNeverTearLines) {
-  const std::string dir = TempDir("logmine_journal_concurrent");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   JournalOptions options;
   options.path = dir + "/journal.jsonl";
   Journal journal(options);
@@ -178,7 +175,8 @@ TEST(JournalToChromeTraceTest, ConvertsEventsAndSkipsTornLines) {
 }
 
 TEST(JournalToChromeTraceTest, FileConverterRoundTrips) {
-  const std::string dir = TempDir("logmine_journal_convert");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   JournalOptions options;
   options.path = dir + "/journal.jsonl";
   {

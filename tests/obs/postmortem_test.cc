@@ -8,21 +8,16 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::obs {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string TempDir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 TEST(PostmortemBundleTest, WriteReadRoundTrip) {
-  const std::string dir = TempDir("logmine_pm_roundtrip");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   PostmortemOptions options;
   options.dir = dir + "/bundles";  // does not exist yet: created on write
 
@@ -68,7 +63,8 @@ TEST(PostmortemBundleTest, DisabledDirIsNotFound) {
 }
 
 TEST(PostmortemBundleTest, CorruptFileIsParseError) {
-  const std::string dir = TempDir("logmine_pm_corrupt");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   PostmortemOptions options;
   options.dir = dir;
   PostmortemBundle bundle;
@@ -93,7 +89,8 @@ TEST(PostmortemBundleTest, CorruptFileIsParseError) {
 }
 
 TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
-  const std::string dir = TempDir("logmine_pm_capture");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   PostmortemOptions options;
   options.dir = dir;
   options.journal_tail = 4;
@@ -145,7 +142,8 @@ TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
 }
 
 TEST(CapturePostmortemTest, SequenceNumbersKeepBundlesDistinct) {
-  const std::string dir = TempDir("logmine_pm_seq");
+  const test::UniqueTempDir temp;
+  const std::string dir = temp.path().string();
   PostmortemOptions options;
   options.dir = dir;
   ObsContext context;

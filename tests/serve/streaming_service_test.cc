@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -11,21 +10,11 @@
 #include <vector>
 
 #include "simulation/service_faults.h"
+#include "unique_temp_dir.h"
 #include "util/snapshot.h"
 
 namespace logmine::serve {
 namespace {
-
-/// Per-test state directory; ctest runs each test case as its own
-/// process, so the name keys isolation and remove_all clears leftovers.
-std::string FreshStatePath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("logmine_serve_" + name);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  std::filesystem::create_directories(dir);
-  return (dir / "state.snapshot").string();
-}
 
 LogRecord Rec(TimeMs ts, std::string source, std::string user,
               std::string message) {
@@ -385,7 +374,8 @@ TEST(StreamingServiceTest, StalledEpochRetriesUntilTheFaultClears) {
 }
 
 TEST(StreamingServiceTest, CrashMidPublishRecoversAndResumesNumbering) {
-  const std::string state_path = FreshStatePath("crash_recover");
+  const test::UniqueTempDir dir;
+  const std::string state_path = dir.File("state.snapshot");
   sim::ServiceFaultPlan plan;
   plan.faults.push_back({/*index=*/2, sim::ServiceFault::kCrashMidPublish});
   const sim::ServiceFaultInjector injector(plan);
@@ -443,7 +433,8 @@ TEST(StreamingServiceTest, CrashMidPublishRecoversAndResumesNumbering) {
 }
 
 TEST(StreamingServiceTest, RecoveryRefusesAForeignConfigFingerprint) {
-  const std::string state_path = FreshStatePath("config_mismatch");
+  const test::UniqueTempDir dir;
+  const std::string state_path = dir.File("state.snapshot");
   auto clock = std::make_shared<int64_t>(0);
   ServiceConfig config = TinyConfig(clock);
   config.state_path = state_path;

@@ -1,8 +1,6 @@
 #include "simulation/corruptor.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -12,6 +10,7 @@
 
 #include "log/columnar.h"
 #include "log/corpus_io.h"
+#include "unique_temp_dir.h"
 
 namespace logmine::sim {
 namespace {
@@ -179,9 +178,9 @@ TEST(CorruptorTest, BlankContextClearsHostAndUserOnly) {
 }
 
 TEST(CorruptorTest, FileWrapperRoundTripsAndReportsMissingInput) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string in_path = (dir / "logmine_corruptor_in.log").string();
-  const std::string out_path = (dir / "logmine_corruptor_out.log").string();
+  const test::UniqueTempDir dir;
+  const std::string in_path = dir.File("in.log");
+  const std::string out_path = dir.File("out.log");
   const std::string clean = CleanText(25);
   {
     std::ofstream out(in_path, std::ios::trunc);
@@ -213,9 +212,6 @@ TEST(CorruptorTest, FileWrapperRoundTripsAndReportsMissingInput) {
   EXPECT_FALSE(
       CorruptCorpusFile("/nonexistent/in.log", out_path, config, &rng_file)
           .ok());
-  std::error_code ec;
-  std::filesystem::remove(in_path, ec);
-  std::filesystem::remove(out_path, ec);
 }
 
 
@@ -273,9 +269,9 @@ TEST(CorruptorTest, ColumnarCorruptorRefusesNonColumnarInput) {
 }
 
 TEST(CorruptorTest, ColumnarFileWrapperIsDeterministic) {
-  const std::filesystem::path dir = std::filesystem::temp_directory_path();
-  const std::string in_path = (dir / "logmine_columnar_in.lmc").string();
-  const std::string out_path = (dir / "logmine_columnar_out.lmc").string();
+  const test::UniqueTempDir dir;
+  const std::string in_path = dir.File("in.lmc");
+  const std::string out_path = dir.File("out.lmc");
   LogStore store;
   for (const LogRecord& record : CleanRecords(20)) {
     ASSERT_TRUE(store.Append(record).ok());
@@ -297,8 +293,6 @@ TEST(CorruptorTest, ColumnarFileWrapperIsDeterministic) {
       &rng_bytes);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(written, expected.value());
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
 #include "util/snapshot.h"
 
-#include <filesystem>
+#include <algorithm>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "unique_temp_dir.h"
+
 namespace logmine {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
 
 TEST(Crc32Test, KnownVectors) {
   // The zlib/IEEE check value.
@@ -170,10 +170,11 @@ TEST(SnapshotFileTest, WriteReadRoundTrip) {
   w.EndSection();
   const std::string bytes = std::move(w).Finish();
 
-  const std::string path = TempPath("snapshot_roundtrip.snap");
+  const test::UniqueTempDir dir;
+  const std::string path = dir.File("roundtrip.snap");
   ASSERT_TRUE(WriteSnapshotFile(path, bytes).ok());
   // The tmp file is gone after the rename.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(dir.FilesOtherThan("roundtrip.snap").empty());
   auto read = ReadFileToString(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), bytes);
@@ -181,18 +182,48 @@ TEST(SnapshotFileTest, WriteReadRoundTrip) {
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.value().Section("file").value().ReadString().value(),
             "on disk");
-  std::filesystem::remove(path);
+}
+
+TEST(SnapshotFileTest, ConcurrentWritersOfOnePathNeverTearIt) {
+  // A shard and its hedge persist the same partial: every writer has
+  // its own tmp file, so the survivor is one writer's complete payload.
+  const test::UniqueTempDir dir;
+  const std::string path = dir.File("shared.snap");
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 25;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kWriters; ++i) {
+    // Distinct sizes, so a mix of two writers' bytes cannot pass.
+    payloads.emplace_back(4096 * (i + 1), static_cast<char>('a' + i));
+  }
+  std::vector<std::thread> writers;
+  for (int i = 0; i < kWriters; ++i) {
+    writers.emplace_back([&, i] {
+      for (int round = 0; round < kRounds; ++round) {
+        EXPECT_TRUE(WriteFileAtomic(path, payloads[i]).ok());
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+
+  auto read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), read.value()),
+            payloads.end());
+  EXPECT_TRUE(dir.FilesOtherThan("shared.snap").empty());
 }
 
 TEST(SnapshotFileTest, MissingFileIsNotFound) {
-  auto read = ReadFileToString(TempPath("does_not_exist.snap"));
+  const test::UniqueTempDir dir;
+  auto read = ReadFileToString(dir.File("does_not_exist.snap"));
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SnapshotFileTest, UnwritableDirectoryIsInternal) {
+  const test::UniqueTempDir dir;
   const Status status =
-      WriteSnapshotFile(TempPath("no/such/dir/x.snap"), "bytes");
+      WriteSnapshotFile(dir.File("no/such/dir/x.snap"), "bytes");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
