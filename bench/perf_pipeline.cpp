@@ -384,7 +384,7 @@ int main(int argc, char** argv) {
             << ckpt_overhead_ms / ckpt_off_ms * 100.0 << "%)\n";
 
   // Observability tax on the end-to-end run: best-of-N with a fully
-  // wired context (metrics + trace, installed globally so every layer
+  // wired context (metrics + journal, installed globally so every layer
   // reports) against the already-measured plain run at 8 threads.
   core::PipelineConfig obs_pipeline_config;
   obs_pipeline_config.l1.num_threads = 8;
@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
 
   // One instrumented pass over every stage — ingest decode, the three
   // miners, a checkpointed sweep — so the report carries a per-stage
-  // metrics snapshot and a flight-recorder trace of the whole flow.
+  // metrics snapshot and a journal (spans included) of the whole flow.
   obs::ObsContext obs_context;
   std::string obs_metrics_json;
   {
@@ -435,13 +435,14 @@ int main(int argc, char** argv) {
   }
   const std::string trace_path = flags.GetString("trace", "trace.json");
   if (!trace_path.empty()) {
-    if (Status s = obs_context.trace().WriteChromeTrace(trace_path); !s.ok()) {
+    if (Status s = obs::WriteChromeTrace(obs_context.journal(), trace_path);
+        !s.ok()) {
       std::cerr << "cannot write " << trace_path << ": " << s << "\n";
       return 1;
     }
-    std::cerr << "[bench] wrote " << trace_path << " ("
-              << obs_context.trace().Events().size() << " spans, "
-              << obs_context.trace().dropped() << " dropped)\n";
+    std::cerr << "[bench] wrote " << trace_path << " (newest of "
+              << obs_context.journal().events_emitted()
+              << " journal events)\n";
   }
 
   // Ingest path: serial text decode vs the chunked parallel decoder,
@@ -605,8 +606,6 @@ int main(int argc, char** argv) {
   out << "  \"obs\": {\"off_ms\": " << obs_off_ms
       << ", \"on_ms\": " << obs_on_ms
       << ", \"overhead_fraction\": " << obs_overhead_fraction
-      << ", \"trace_spans\": " << obs_context.trace().total_recorded()
-      << ", \"trace_dropped\": " << obs_context.trace().dropped()
       << ", \"journal_events\": " << obs_context.journal().events_emitted()
       << ", \"probe_stages\": " << obs_context.probe().Stages().size()
       << ",\n  \"probe\": " << obs_context.probe().ToJson()

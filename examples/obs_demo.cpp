@@ -1,8 +1,9 @@
 // Observability tour: run the HUG-scenario pipeline with a fully wired
 // ObsContext, print the metrics registry as an aligned text report, and
-// export the flight recorder as Chrome trace_event JSON. Open the trace
-// in chrome://tracing or https://ui.perfetto.dev to see the per-miner
-// spans nested under the pipeline run.
+// export the journal (every span is a journal event) as Chrome
+// trace_event JSON. Open the trace in chrome://tracing or
+// https://ui.perfetto.dev to see the per-miner spans nested under the
+// pipeline run.
 //
 //   ./obs_demo [--scale=0.1] [--days=1] [--seed=7] [--trace=trace.json]
 
@@ -66,18 +67,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 4. The text report: every non-zero counter, gauge and histogram.
+  // 4. The text report: every non-zero counter, gauge and sketch.
   std::cout << result.value().metrics->ToText();
 
-  // 5. The trace: one complete ("X") event per span.
+  // 5. The trace: one complete ("X") event per span, one instant per
+  // other journal event.
   const std::string trace_path = flags.GetString("trace", "trace.json");
-  if (Status s = context.trace().WriteChromeTrace(trace_path); !s.ok()) {
+  if (Status s = obs::WriteChromeTrace(context.journal(), trace_path);
+      !s.ok()) {
     std::cerr << s << "\n";
     return 1;
   }
   std::cout << "\nwrote " << trace_path << " ("
-            << context.trace().Events().size() << " spans, "
-            << context.trace().dropped()
-            << " dropped) - load it in chrome://tracing\n";
+            << context.journal().events_emitted()
+            << " journal events) - load it in chrome://tracing\n";
   return 0;
 }

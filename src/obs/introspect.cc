@@ -18,7 +18,6 @@ namespace logmine::obs {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
-constexpr size_t kMaxJournalTail = 4096;
 
 Status Errno(std::string what) {
   what += ": ";
@@ -164,7 +163,7 @@ std::string IntrospectionServer::HandleRequest(const std::string& line) {
     size_t n = 32;
     if (line.size() > 13) {
       n = static_cast<size_t>(std::strtoul(line.c_str() + 13, nullptr, 10));
-      n = std::min(std::max<size_t>(n, 1), kMaxJournalTail);
+      n = std::min(std::max<size_t>(n, 1), Journal::kTailCapacity);
     }
     if (handlers_.journal_tail) {
       for (const std::string& journal_line : handlers_.journal_tail(n)) {

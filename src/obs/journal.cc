@@ -9,40 +9,16 @@
 #include <sstream>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace logmine::obs {
 namespace {
 
 std::atomic<uint64_t> g_next_journal{1};
 
-void AppendEscaped(std::string_view s, std::string* out) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
+std::chrono::steady_clock::time_point ProcessEpoch() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return epoch;
 }
 
 std::string MakeRunId() {
@@ -121,12 +97,81 @@ bool ExtractString(std::string_view line, std::string_view key,
   return at < line.size();  // saw the closing quote
 }
 
+// Fixed-point microseconds (the trace_event unit) with 3 decimals, so
+// sub-microsecond spans keep their duration.
+void AppendMicros(int64_t ns, std::string* out) {
+  if (ns < 0) {
+    *out += '-';
+    ns = -ns;
+  }
+  char frac[8];
+  std::snprintf(frac, sizeof(frac), ".%03d", static_cast<int>(ns % 1000));
+  *out += std::to_string(ns / 1000);
+  *out += frac;
+}
+
+Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::out | std::ios::trunc);
+  if (!out.is_open()) {
+    return Status::Internal("cannot write trace file: " + path);
+  }
+  out << text;
+  return out.good() ? Status::OK() : Status::Internal("short write: " + path);
+}
+
 }  // namespace
+
+int64_t MonotonicNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - ProcessEpoch())
+      .count();
+}
+
+uint32_t CurrentTraceThreadId() {
+  static std::atomic<uint32_t> next{1};
+  thread_local const uint32_t tid =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  *out += '"';
+  size_t plain = 0;  // start of the pending run that needs no escaping
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out->append(s, plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
+    }
+  }
+  out->append(s, plain, s.size() - plain);
+  *out += '"';
+}
 
 JournalField JournalField::Str(std::string_view key, std::string_view value) {
   JournalField field;
   field.key = std::string(key);
-  AppendEscaped(value, &field.value);
+  AppendJsonString(value, &field.value);
   return field;
 }
 
@@ -169,23 +214,27 @@ std::string Journal::BeginRootSpan(std::string_view prefix) {
 
 void Journal::Emit(std::string_view span, std::string_view event,
                    const std::vector<JournalField>& fields) {
-  std::string line = "{\"ts_ns\":";
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ring_.size() < kTailCapacity) ring_.emplace_back();
+  // Rendered in place over the oldest line: the slot keeps its
+  // capacity, so a steady stream of events (spans emit per query)
+  // allocates nothing and touches few cache lines.
+  std::string& line = ring_[events_ % kTailCapacity];
+  line.assign("{\"ts_ns\":");
   line += std::to_string(MonotonicNowNs());
-  line += ",\"run\":";
-  AppendEscaped(run_id_, &line);
-  line += ",\"span\":";
-  AppendEscaped(span, &line);
+  line += ",\"run\":\"";
+  line += run_id_;  // MakeRunId's [a-z0-9-] needs no escaping
+  line += "\",\"span\":";
+  AppendJsonString(span, &line);
   line += ",\"event\":";
-  AppendEscaped(event, &line);
+  AppendJsonString(event, &line);
   for (const JournalField& field : fields) {
     line += ',';
-    AppendEscaped(field.key, &line);
+    AppendJsonString(field.key, &line);
     line += ':';
     line += field.value;
   }
   line += '}';
-
-  std::lock_guard<std::mutex> lock(mu_);
   ++events_;
   if (file_.is_open()) {
     file_ << line << '\n';
@@ -193,8 +242,6 @@ void Journal::Emit(std::string_view span, std::string_view event,
     bytes_written_ += line.size() + 1;
     if (bytes_written_ >= options_.max_bytes_per_file) RotateLocked();
   }
-  tail_.push_back(std::move(line));
-  while (tail_.size() > options_.tail_capacity) tail_.pop_front();
   if (metrics_ != nullptr) {
     metrics_->Add(Metric::kJournalEventsEmitted, 1);
   }
@@ -221,9 +268,13 @@ void Journal::RotateLocked() {
 
 std::vector<std::string> Journal::Tail(size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const size_t take = std::min(n, tail_.size());
-  return std::vector<std::string>(tail_.end() - static_cast<long>(take),
-                                  tail_.end());
+  const size_t take = std::min(n, ring_.size());
+  std::vector<std::string> lines;
+  lines.reserve(take);
+  for (uint64_t i = events_ - take; i < events_; ++i) {
+    lines.push_back(ring_[i % kTailCapacity]);
+  }
+  return lines;
 }
 
 uint64_t Journal::events_emitted() const {
@@ -263,18 +314,38 @@ std::string JournalToChromeTrace(std::string_view jsonl) {
     const bool complete = ExtractInt(line, "dur_ns", &dur_ns);
     if (!first) out += ',';
     first = false;
-    std::string name;
-    AppendEscaped(span + " " + event, &name);
-    out += "{\"name\":" + name + ",\"pid\":1,\"tid\":" +
-           std::to_string(tid) + ",\"ts\":" + std::to_string(ts_ns / 1000);
+    out += "{\"name\":";
+    AppendJsonString(span + " " + event, &out);
+    // A span event is stamped when the span closes; it began dur_ns
+    // earlier.
+    const int64_t start_ns = complete ? ts_ns - dur_ns : ts_ns;
+    out += ",\"pid\":1,\"tid\":" + std::to_string(tid) + ",\"ts\":";
+    AppendMicros(start_ns, &out);
     if (complete) {
-      out += ",\"ph\":\"X\",\"dur\":" + std::to_string(dur_ns / 1000) + "}";
+      out += ",\"ph\":\"X\",\"dur\":";
+      AppendMicros(dur_ns, &out);
+      out += '}';
     } else {
       out += ",\"ph\":\"i\",\"s\":\"t\"}";
     }
   }
   out += "]}";
   return out;
+}
+
+std::string JournalToChromeTrace(const std::vector<std::string>& lines) {
+  std::string jsonl;
+  for (const std::string& line : lines) {
+    jsonl += line;
+    jsonl += '\n';
+  }
+  return JournalToChromeTrace(jsonl);
+}
+
+Status WriteChromeTrace(const Journal& journal,
+                        const std::string& trace_path) {
+  return WriteTextFile(
+      trace_path, JournalToChromeTrace(journal.Tail(Journal::kTailCapacity)));
 }
 
 Status ConvertJournalToChromeTrace(const std::string& journal_path,
@@ -285,14 +356,7 @@ Status ConvertJournalToChromeTrace(const std::string& journal_path,
   }
   std::ostringstream content;
   content << in.rdbuf();
-  const std::string trace = JournalToChromeTrace(content.str());
-  std::ofstream out(trace_path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::Internal("cannot write trace file: " + trace_path);
-  }
-  out << trace;
-  return out.good() ? Status::OK()
-                    : Status::Internal("short write: " + trace_path);
+  return WriteTextFile(trace_path, JournalToChromeTrace(content.str()));
 }
 
 }  // namespace logmine::obs

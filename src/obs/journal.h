@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -15,6 +14,19 @@
 namespace logmine::obs {
 
 class MetricsRegistry;
+
+/// Nanoseconds on the process-wide steady clock, relative to the first
+/// call (so event timestamps are small and monotonic). Thread-safe.
+int64_t MonotonicNowNs();
+
+/// Small dense id of the calling thread (assigned on first use, stable
+/// for the thread's lifetime) — names the span of every TraceSpan event.
+uint32_t CurrentTraceThreadId();
+
+/// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
+/// every control character are escaped. The one escaper of every obs
+/// JSON export.
+void AppendJsonString(std::string_view s, std::string* out);
 
 /// One typed key/value of a journal event. Values are pre-rendered JSON
 /// fragments so emission is a single concatenation; build them through
@@ -39,8 +51,6 @@ struct JournalOptions {
   size_t max_bytes_per_file = 4u << 20;
   /// Rotated generations kept besides the live file.
   size_t max_rotated_files = 2;
-  /// Most-recent rendered lines kept in memory for `Tail()`.
-  size_t tail_capacity = 256;
 };
 
 /// Crash-safe structured event journal: every stage / shard / epoch /
@@ -48,14 +58,21 @@ struct JournalOptions {
 /// wide JSONL event carrying the process-unique `run_id` and a
 /// hierarchical span id ("sweep-1/d0.r2/a1"), flushed line-by-line so
 /// the file is truthful up to the last boundary even after SIGKILL.
-/// The trace ring answers "what was hot"; the journal answers "what
-/// happened, in which attempt of which shard of which run" — and, being
-/// on disk, survives the process.
+/// It is the process's only event recorder: every closed TraceSpan
+/// (obs.h) lands here too, as an event named after the span under the
+/// span id "thread-<tid>" and carrying `dur_ns`. So one stream answers
+/// both "what was hot" and "what happened, in which attempt of which
+/// shard of which run" — and, when file-backed, survives the process.
 ///
-/// Thread-safe: one short mutex per event; events are boundary-granular
-/// (per stage/epoch, never per log line), so the lock is cold.
+/// Thread-safe: one short mutex per event; events are boundary- or
+/// stage-granular (per stage/epoch/query, never per log line), so the
+/// lock is cold.
 class Journal {
  public:
+  /// Most-recent rendered lines kept in memory for `Tail()` — the
+  /// bounded ring introspection, postmortems and the Chrome trace read.
+  static constexpr size_t kTailCapacity = 4096;
+
   explicit Journal(const JournalOptions& options = {},
                    MetricsRegistry* metrics = nullptr);
   ~Journal();
@@ -77,11 +94,12 @@ class Journal {
   void Emit(std::string_view span, std::string_view event,
             const std::vector<JournalField>& fields = {});
 
-  /// The most recent `n` rendered lines (oldest first), capped by the
-  /// tail capacity.
+  /// The most recent `n` rendered lines (oldest first), capped by
+  /// kTailCapacity.
   std::vector<std::string> Tail(size_t n) const;
 
-  /// Events emitted through this journal (including rotated-away ones).
+  /// Events emitted through this journal (including ones rotated out of
+  /// the file or the ring).
   uint64_t events_emitted() const;
   /// File rotations performed.
   uint64_t rotations() const;
@@ -100,15 +118,22 @@ class Journal {
   size_t bytes_written_ = 0;
   uint64_t events_ = 0;
   uint64_t rotations_ = 0;
-  std::deque<std::string> tail_;
+  /// The newest kTailCapacity lines; event k lives at k % kTailCapacity.
+  std::vector<std::string> ring_;
 };
 
 /// Converts journal JSONL (one run's worth) into Chrome/Perfetto
-/// `trace_event` JSON: events carrying a `dur_ns` field become complete
-/// "X" spans, all others instant events, named "span event" and grouped
-/// by root span. Lines that do not parse are skipped (a torn final line
-/// after a crash is expected, not an error).
+/// `trace_event` JSON — the only Chrome exporter. Events carrying a
+/// `dur_ns` field are emitted when their span closes, so they become
+/// complete "X" spans starting at `ts_ns - dur_ns`; all others become
+/// instant events. Events are named "span event" and grouped into one
+/// trace row per root span. Lines that do not parse are skipped (a torn
+/// final line after a crash is expected, not an error).
 std::string JournalToChromeTrace(std::string_view jsonl);
+std::string JournalToChromeTrace(const std::vector<std::string>& lines);
+
+/// Writes the Chrome trace of `journal`'s in-memory ring to `trace_path`.
+Status WriteChromeTrace(const Journal& journal, const std::string& trace_path);
 
 /// Reads `journal_path` and writes the converted trace to `trace_path`.
 Status ConvertJournalToChromeTrace(const std::string& journal_path,

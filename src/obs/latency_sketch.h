@@ -17,7 +17,7 @@ namespace logmine::obs {
 /// gamma = (1 + alpha) / (1 - alpha), so any quantile estimate is
 /// within `alpha` *relative* error of some actually-observed value —
 /// p999 of a microsecond-to-minutes latency distribution is as accurate
-/// as p50, which the log2 histograms (one power of two ≈ 100% error)
+/// as p50, which a log2 histogram (one power of two ≈ 100% error)
 /// cannot offer.
 ///
 /// Merge is bucket-wise integer addition: exact, associative and

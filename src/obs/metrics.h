@@ -1,8 +1,6 @@
 #ifndef LOGMINE_OBS_METRICS_H_
 #define LOGMINE_OBS_METRICS_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,30 +9,25 @@
 #include <vector>
 
 #include "obs/latency_sketch.h"
-#include "util/result.h"
 
 namespace logmine::obs {
 
 /// What a metric measures. Counters are monotonic sums, gauges are
-/// up/down sums (e.g. a queue depth maintained by +1/-1 deltas),
-/// histograms are fixed log2-bucket latency distributions, and sketches
-/// are mergeable bounded-relative-error quantile sketches
-/// (obs/latency_sketch.h) — the tail-accurate replacement the serve
-/// and sweep latency metrics use.
+/// up/down sums (e.g. a queue depth maintained by +1/-1 deltas), and
+/// sketches are mergeable bounded-relative-error quantile sketches
+/// (obs/latency_sketch.h) — every `*_ns` latency metric is one.
 enum class MetricKind : uint32_t {
   kCounter = 0,
   kGauge = 1,
-  kHistogram = 2,
-  kSketch = 3,
+  kSketch = 2,
 };
 
 std::string_view MetricKindName(MetricKind kind);
 
 /// Every built-in instrumentation point in the library, one per line of
 /// the naming scheme `<layer>.<what>[_ns]` (DESIGN.md §10). The enum is
-/// the fast path: `Add(Metric::k...)` compiles to an array index with
-/// no name lookup. Dynamic metrics registered at runtime live in the
-/// same registry after these.
+/// the registry's whole vocabulary: `Add(Metric::k...)` compiles to an
+/// array index with no name lookup.
 enum class Metric : uint32_t {
   // --- ingest / decode (log/codec.cc) ---
   kIngestLinesTotal = 0,
@@ -159,45 +152,13 @@ inline constexpr size_t kNumWellKnownMetrics =
 std::string_view MetricName(Metric metric);
 MetricKind MetricKindOf(Metric metric);
 
-/// One histogram's merged state: log2 buckets (bucket 0 holds values
-/// <= 1, bucket i holds [2^(i-1), 2^i), the last bucket everything
-/// larger), plus exact count and sum, so averages are not bucketed.
-struct HistogramSnapshot {
-  static constexpr size_t kNumBuckets = 32;
-
-  int64_t count = 0;
-  int64_t sum = 0;
-  /// Largest value observed; meaningful only when count > 0. Quantile
-  /// estimates clamp to it, so a lone observation landing in a wide
-  /// bucket (or the open-ended top bucket) reports its own value rather
-  /// than the bucket's nominal bound (INT64_MAX for the top bucket).
-  int64_t max = 0;
-  std::array<int64_t, kNumBuckets> buckets{};
-
-  /// Bucket a value falls into (shared with the live registry).
-  static size_t BucketOf(int64_t value);
-  /// Inclusive upper bound of bucket `i` (INT64_MAX for the last).
-  static int64_t BucketUpperBound(size_t i);
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  /// Upper bound of the bucket holding quantile `q` in [0, 1], clamped
-  /// to the recorded maximum — an upper estimate good to one power of
-  /// two that never exceeds any actually-observed value. 0 when empty.
-  int64_t QuantileUpperBound(double q) const;
-};
-
-/// Point-in-time merged view of a registry, in registration order
-/// (well-known metrics first), so exports are deterministic for any
-/// thread count.
+/// Point-in-time merged view of a registry, in `Metric` enum order, so
+/// exports are deterministic for any thread count.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
     MetricKind kind = MetricKind::kCounter;
     int64_t value = 0;         ///< counters and gauges
-    HistogramSnapshot hist;    ///< histograms only
     LatencySketch sketch;      ///< sketches only
   };
 
@@ -205,43 +166,26 @@ struct MetricsSnapshot {
 
   /// Entry by export name; nullptr when absent.
   const Entry* Find(std::string_view name) const;
-  /// Scalar value by name; 0 when absent (histograms and sketches: the
-  /// count).
+  /// Scalar value by name; 0 when absent (sketches: the count).
   int64_t Value(std::string_view name) const;
 
   /// Aligned table (util/table_printer) of every non-zero metric:
   /// metric | kind | value | mean_ns | p99_ns.
   std::string ToText(bool include_zero = false) const;
-  /// One JSON object: scalars as numbers, histograms as
-  /// {"count","sum","mean","p50","p99","buckets":[...]}, sketches as
+  /// One JSON object: scalars as numbers, sketches as
   /// {"count","sum","mean","min","max","p50","p90","p99","p999",
   ///  "alpha"}.
   std::string ToJson() const;
 };
 
-/// Capacity knobs of one registry. Registration past a cap fails with
-/// kResourceExhausted (TryRegister*) instead of silently dropping the
-/// metric; the defaults leave plenty of headroom over the well-known
-/// set. Capacities are fixed at construction — the per-thread shards
-/// never grow mid-flight, which is what keeps the write path free of
-/// locks and resize races.
-struct MetricsOptions {
-  size_t max_scalars = 160;
-  size_t max_histograms = 48;
-  size_t max_sketches = 16;
-  /// Relative accuracy of every sketch metric (see LatencySketch).
-  double sketch_alpha = LatencySketch::kDefaultAlpha;
-};
-
-/// Thread-safe metrics registry with a lock-free fast path: every
-/// thread writes to its own shard of relaxed atomics (the FlatCounter
-/// discipline — contention-free accumulation, merge on read), and
-/// `Snapshot` sums the shards. Sketch metrics take a per-shard,
-/// per-slot mutex instead (their updates are structural); the owning
-/// thread is the only writer, so the lock is uncontended except
-/// against snapshots. Well-known `Metric`s are pre-registered;
-/// `TryRegister*` adds dynamically named metrics until the configured
-/// capacity is exhausted (kResourceExhausted).
+/// Thread-safe registry of exactly the `Metric` enum, with a lock-free
+/// fast path: every thread writes to its own fixed-size shard of
+/// relaxed atomics (the FlatCounter discipline — contention-free
+/// accumulation, merge on read), and `Snapshot` sums the shards. Sketch
+/// metrics take a per-shard, per-slot mutex instead (their updates are
+/// structural); the owning thread is the only writer, so the lock is
+/// uncontended except against snapshots. Every sketch uses
+/// `LatencySketch::kDefaultAlpha`.
 ///
 /// Determinism: addition over int64 commutes (and sketch merge is
 /// associative and order-independent), so a snapshot taken after the
@@ -249,42 +193,17 @@ struct MetricsOptions {
 /// or schedule.
 class MetricsRegistry {
  public:
-  /// Encoded metric handle: kind in the top byte, shard slot below.
-  using MetricId = uint32_t;
-  static constexpr MetricId kInvalidMetricId = 0xffffffffu;
-
-  explicit MetricsRegistry(const MetricsOptions& options = {});
+  MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  const MetricsOptions& options() const { return options_; }
-
-  /// Registers (or finds, by name) a dynamic metric. Thread-safe.
-  /// Fails with kResourceExhausted when the configured capacity is
-  /// full, kAlreadyExists when the name exists with a different kind.
-  Result<MetricId> TryRegisterCounter(std::string_view name);
-  Result<MetricId> TryRegisterGauge(std::string_view name);
-  Result<MetricId> TryRegisterHistogram(std::string_view name);
-  Result<MetricId> TryRegisterSketch(std::string_view name);
-
-  /// Lenient forms: kInvalidMetricId on any failure (writes to an
-  /// invalid id are dropped) — for callers that prefer losing a metric
-  /// over failing a run.
-  MetricId RegisterCounter(std::string_view name);
-  MetricId RegisterGauge(std::string_view name);
-  MetricId RegisterHistogram(std::string_view name);
-  MetricId RegisterSketch(std::string_view name);
-
-  /// Adds `delta` to a counter or gauge. Lock-free; invalid ids are
-  /// dropped silently.
-  void Add(MetricId id, int64_t delta);
+  /// Adds `delta` to a counter or gauge. Lock-free. A sketch metric is
+  /// dropped: it must never index the scalar array.
   void Add(Metric metric, int64_t delta = 1);
 
-  /// Records one observation (latencies: nanoseconds) into a histogram
-  /// or sketch id — the kind encoded in the id picks the store, so
-  /// TraceSpan instrumentation is agnostic to which one a metric uses.
-  void Observe(MetricId id, int64_t value);
+  /// Records one observation (latencies: nanoseconds) into a sketch. A
+  /// counter or gauge is dropped: it must never index the sketch array.
   void Observe(Metric metric, int64_t value);
 
   /// Merged view of all shards. Safe to call concurrently with
@@ -295,22 +214,11 @@ class MetricsRegistry {
   struct Shard;
 
   Shard* LocalShard() const;
-  Result<MetricId> RegisterNamed(std::string_view name, MetricKind kind);
 
   const uint64_t registry_id_;  ///< process-unique, for thread-local lookup
-  const MetricsOptions options_;
-
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<Shard>> shards_;
-  /// Slot -> name/kind tables, pre-filled with the well-known metrics.
-  std::vector<std::string> scalar_names_;
-  std::vector<MetricKind> scalar_kinds_;
-  std::vector<std::string> histogram_names_;
-  std::vector<std::string> sketch_names_;
 };
-
-/// The encoded id of a well-known metric (constant-time, no lookup).
-MetricsRegistry::MetricId WellKnownId(Metric metric);
 
 }  // namespace logmine::obs
 

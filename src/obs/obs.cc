@@ -1,7 +1,9 @@
 #include "obs/obs.h"
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace logmine::obs {
 namespace {
@@ -37,5 +39,17 @@ ObsContext* AcquireGlobal() {
 }
 
 void ReleaseGlobal() { g_pins.fetch_sub(1, std::memory_order_seq_cst); }
+
+void TraceSpan::Close() {
+  const int64_t dur_ns = MonotonicNowNs() - start_ns_;
+  thread_local const std::string thread_span =
+      "thread-" + std::to_string(CurrentTraceThreadId());
+  // Reused per thread: closing a span allocates nothing.
+  thread_local std::vector<JournalField> fields = {
+      JournalField::Num("dur_ns", 0)};
+  fields[0].value = std::to_string(dur_ns);
+  context_->journal().Emit(thread_span, name_, fields);
+  if (latency_.has_value()) context_->metrics().Observe(*latency_, dur_ns);
+}
 
 }  // namespace logmine::obs

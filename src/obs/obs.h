@@ -7,35 +7,22 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/resource_probe.h"
-#include "obs/trace.h"
 
 namespace logmine::obs {
 
-/// Knobs of one observability context.
-struct ObsOptions {
-  size_t trace_capacity = TraceRecorder::kDefaultCapacity;
-  /// Registry capacities and sketch accuracy.
-  MetricsOptions metrics;
-  /// Event journal; the default (no path) keeps it memory-only, which
-  /// still feeds the introspection tail and postmortem bundles.
-  JournalOptions journal;
-};
-
-/// One metrics registry, one trace flight recorder, and one structured
-/// event journal — the unit a pipeline run (or a whole process) records
-/// into. Thread-safe; cheap to pass by pointer, with nullptr meaning
-/// "observability off".
+/// One metrics registry, one structured event journal (which also holds
+/// every closed span) and one resource probe — the unit a pipeline run
+/// (or a whole process) records into. Thread-safe; cheap to pass by
+/// pointer, with nullptr meaning "observability off". The default
+/// journal (no path) is memory-only, which still feeds the Chrome
+/// trace, the introspection tail and postmortem bundles.
 class ObsContext {
  public:
-  explicit ObsContext(const ObsOptions& options = {})
-      : metrics_(options.metrics),
-        trace_(options.trace_capacity),
-        journal_(options.journal, &metrics_) {}
+  explicit ObsContext(const JournalOptions& journal = {})
+      : journal_(journal, &metrics_) {}
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
   Journal& journal() { return journal_; }
   const Journal& journal() const { return journal_; }
   ResourceProbe& probe() { return probe_; }
@@ -43,7 +30,6 @@ class ObsContext {
 
  private:
   MetricsRegistry metrics_;
-  TraceRecorder trace_;
   Journal journal_;
   ResourceProbe probe_;
 };
@@ -106,10 +92,10 @@ inline void Observe(Metric metric, int64_t value) {
 }
 
 /// RAII trace span: starts timing at construction and, at scope exit,
-/// records one TraceEvent into the context's flight recorder — and,
-/// when `latency` names a histogram metric, one latency observation.
-/// A null context makes the whole object a no-op. `name` must be a
-/// string literal (TraceEvent stores the pointer).
+/// emits one journal event named `name` under the span id
+/// "thread-<tid>", carrying `dur_ns` — and, when `latency` names a
+/// sketch metric, one latency observation. A null context makes the
+/// whole object a no-op.
 class TraceSpan {
  public:
   TraceSpan(ObsContext* context, const char* name,
@@ -120,22 +106,15 @@ class TraceSpan {
         start_ns_(context != nullptr ? MonotonicNowNs() : 0) {}
 
   ~TraceSpan() {
-    if (context_ == nullptr) return;
-    TraceEvent event;
-    event.name = name_;
-    event.tid = CurrentTraceThreadId();
-    event.start_ns = start_ns_;
-    event.dur_ns = MonotonicNowNs() - start_ns_;
-    context_->trace().Record(event);
-    if (latency_.has_value()) {
-      context_->metrics().Observe(*latency_, event.dur_ns);
-    }
+    if (context_ != nullptr) Close();
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  void Close();
+
   ObsContext* context_;
   const char* name_;
   std::optional<Metric> latency_;

@@ -13,30 +13,6 @@ namespace {
 
 std::atomic<uint64_t> g_bundle_seq{0};
 
-// Renders the newest `max_events` trace events as Chrome trace JSON —
-// TraceRecorder::ToChromeTraceJson dumps the whole ring; a postmortem
-// wants the tail.
-std::string TraceTailJson(const TraceRecorder& trace, size_t max_events) {
-  const std::vector<TraceEvent> events = trace.Events();
-  const size_t begin =
-      events.size() > max_events ? events.size() - max_events : 0;
-  std::string out = "{\"traceEvents\":[";
-  for (size_t i = begin; i < events.size(); ++i) {
-    if (i > begin) out += ',';
-    const TraceEvent& event = events[i];
-    out += "{\"name\":\"";
-    for (const char* c = event.name; *c != '\0'; ++c) {
-      if (*c == '"' || *c == '\\') out += '\\';
-      out += *c;
-    }
-    out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(event.tid) +
-           ",\"ts\":" + std::to_string(event.start_ns / 1000) +
-           ",\"dur\":" + std::to_string(event.dur_ns / 1000) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace
 
 Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
@@ -132,9 +108,8 @@ Result<std::string> CapturePostmortem(const PostmortemOptions& options,
     bundle.run_id = context->journal().run_id();
     bundle.metrics_json = context->metrics().Snapshot().ToJson();
     bundle.probe_json = context->probe().ToJson();
-    bundle.trace_json =
-        TraceTailJson(context->trace(), options.max_trace_events);
     bundle.journal_tail = context->journal().Tail(options.journal_tail);
+    bundle.trace_json = JournalToChromeTrace(bundle.journal_tail);
   } else {
     bundle.run_id = "no-context";
   }

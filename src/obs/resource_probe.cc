@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/trace.h"
+#include "obs/journal.h"
 
 namespace logmine::obs {
 namespace {
@@ -93,14 +93,9 @@ std::string ResourceProbe::ToJson() const {
   for (const StageUsage& stage : stages) {
     if (!first) out += ',';
     first = false;
-    out += "{\"stage\":\"";
-    // Stage names are identifiers chosen by this codebase; escape the
-    // two JSON-breaking characters anyway.
-    for (char c : stage.stage) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += "\",\"invocations\":" + std::to_string(stage.invocations) +
+    out += "{\"stage\":";
+    AppendJsonString(stage.stage, &out);
+    out += ",\"invocations\":" + std::to_string(stage.invocations) +
            ",\"wall_ns\":" + std::to_string(stage.wall_ns) +
            ",\"user_cpu_ns\":" + std::to_string(stage.user_cpu_ns) +
            ",\"system_cpu_ns\":" + std::to_string(stage.system_cpu_ns) +

@@ -181,9 +181,9 @@ TEST(PipelineTest, RunAttachesMetricsSnapshotToResult) {
   EXPECT_GT(snap.Value("l3.logs_scanned"), 0);
   const obs::MetricsSnapshot::Entry* run_ns = snap.Find("pipeline.run_ns");
   ASSERT_NE(run_ns, nullptr);
-  EXPECT_EQ(run_ns->hist.count, 1);
-  // The flight recorder saw the run span plus the per-miner spans.
-  EXPECT_GE(context.trace().total_recorded(), 4u);
+  EXPECT_EQ(run_ns->sketch.count(), 1);
+  // The journal saw the run span plus the per-miner spans.
+  EXPECT_GE(context.journal().events_emitted(), 4u);
 }
 
 TEST(PipelineTest, ExplicitObsContextWorksWithoutGlobalInstall) {

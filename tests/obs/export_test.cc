@@ -21,57 +21,53 @@ TEST(MangleMetricNameTest, PrefixesLeadingDigit) {
   EXPECT_EQ(MangleMetricName("0"), "_0");
 }
 
-// The golden: a fresh registry with only dynamic metrics touched renders
-// exactly these series (include_zero=false hides the untouched
-// well-known ones). Counter, gauge and histogram values are exact by
-// construction; bucket bounds come from the log2 layout (<=1, then
-// powers of two).
+// The golden: a fresh registry with three well-known metrics touched
+// renders exactly these series (include_zero=false hides the untouched
+// rest), in enum order. Counter and gauge values are exact by
+// construction; a sketch's extreme quantiles are clamped to the
+// observed min and max, so these are exact too.
 TEST(ToOpenMetricsTest, GoldenRendering) {
   MetricsRegistry registry;
-  const auto requests = registry.RegisterCounter("demo.requests");
-  const auto depth = registry.RegisterGauge("demo.depth");
-  const auto latency = registry.RegisterHistogram("demo.latency_ms");
-  registry.Add(requests, 7);
-  registry.Add(depth, 3);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 100);
+  registry.Add(Metric::kPipelineRuns, 7);
+  registry.Add(Metric::kServeQueueDepth, 3);
+  for (int64_t v : {1, 1, 1, 100}) registry.Observe(Metric::kServeQueryNs, v);
 
   OpenMetricsOptions options;
   options.include_zero = false;
   const std::string text = ToOpenMetrics(registry.Snapshot(), options);
   const std::string expected =
-      "# TYPE logmine_demo_requests counter\n"
-      "logmine_demo_requests_total 7\n"
-      "# TYPE logmine_demo_depth gauge\n"
-      "logmine_demo_depth 3\n"
-      "# TYPE logmine_demo_latency_ms histogram\n"
-      "logmine_demo_latency_ms_bucket{le=\"1\"} 3\n"
-      "logmine_demo_latency_ms_bucket{le=\"128\"} 4\n"
-      "logmine_demo_latency_ms_bucket{le=\"+Inf\"} 4\n"
-      "logmine_demo_latency_ms_sum 103\n"
-      "logmine_demo_latency_ms_count 4\n";
+      "# TYPE logmine_pipeline_runs counter\n"
+      "logmine_pipeline_runs_total 7\n"
+      "# TYPE logmine_serve_queue_depth gauge\n"
+      "logmine_serve_queue_depth 3\n"
+      "# TYPE logmine_serve_query_ns summary\n"
+      "logmine_serve_query_ns{quantile=\"0.5\"} 1\n"
+      "logmine_serve_query_ns{quantile=\"0.9\"} 100\n"
+      "logmine_serve_query_ns{quantile=\"0.99\"} 100\n"
+      "logmine_serve_query_ns{quantile=\"0.999\"} 100\n"
+      "logmine_serve_query_ns_sum 103\n"
+      "logmine_serve_query_ns_count 4\n";
   EXPECT_EQ(text, expected);
 }
 
 TEST(ToOpenMetricsTest, SketchRendersAsSummaryWithinRelativeError) {
   MetricsRegistry registry;
-  const auto sketch = registry.RegisterSketch("demo.sketch_ms");
-  for (int i = 0; i < 100; ++i) registry.Observe(sketch, 1000);
+  for (int i = 0; i < 100; ++i) {
+    registry.Observe(Metric::kServePublishNs, 1000);
+  }
 
   OpenMetricsOptions options;
   options.include_zero = false;
   const std::string text = ToOpenMetrics(registry.Snapshot(), options);
-  EXPECT_NE(text.find("# TYPE logmine_demo_sketch_ms summary\n"),
+  EXPECT_NE(text.find("# TYPE logmine_serve_publish_ns summary\n"),
             std::string::npos);
-  EXPECT_NE(text.find("logmine_demo_sketch_ms_sum 100000\n"),
+  EXPECT_NE(text.find("logmine_serve_publish_ns_sum 100000\n"),
             std::string::npos);
-  EXPECT_NE(text.find("logmine_demo_sketch_ms_count 100\n"),
+  EXPECT_NE(text.find("logmine_serve_publish_ns_count 100\n"),
             std::string::npos);
   for (const char* quantile : {"0.5", "0.9", "0.99", "0.999"}) {
     const std::string needle =
-        std::string("logmine_demo_sketch_ms{quantile=\"") + quantile +
+        std::string("logmine_serve_publish_ns{quantile=\"") + quantile +
         "\"} ";
     const size_t at = text.find(needle);
     ASSERT_NE(at, std::string::npos) << needle;
@@ -89,15 +85,16 @@ TEST(ToOpenMetricsTest, IncludeZeroRendersWellKnownMetrics) {
   EXPECT_NE(text.find("# TYPE logmine_pipeline_runs counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("logmine_pipeline_runs_total 0\n"), std::string::npos);
-  // Untouched histograms still render their +Inf bucket, sum and count.
-  EXPECT_NE(text.find("logmine_serve_ingest_ns_bucket{le=\"+Inf\"} 0\n"),
+  // Untouched sketches still render their quantiles, sum and count.
+  EXPECT_NE(text.find("logmine_serve_ingest_ns{quantile=\"0.5\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("logmine_serve_ingest_ns_count 0\n"),
             std::string::npos);
 }
 
 TEST(ToOpenMetricsTest, CounterAlreadyNamedTotalIsNotDoubled) {
   MetricsRegistry registry;
-  const auto id = registry.RegisterCounter("ingest.lines_total");
-  registry.Add(id, 5);
+  registry.Add(Metric::kIngestLinesTotal, 5);
   OpenMetricsOptions options;
   options.include_zero = false;
   EXPECT_EQ(ToOpenMetrics(registry.Snapshot(), options),
@@ -107,13 +104,12 @@ TEST(ToOpenMetricsTest, CounterAlreadyNamedTotalIsNotDoubled) {
 
 TEST(ToOpenMetricsTest, CustomPrefix) {
   MetricsRegistry registry;
-  const auto id = registry.RegisterCounter("x");
-  registry.Add(id, 1);
+  registry.Add(Metric::kL1Runs, 1);
   OpenMetricsOptions options;
   options.prefix = "acme_";
   options.include_zero = false;
   EXPECT_EQ(ToOpenMetrics(registry.Snapshot(), options),
-            "# TYPE acme_x counter\nacme_x_total 1\n");
+            "# TYPE acme_l1_runs counter\nacme_l1_runs_total 1\n");
 }
 
 }  // namespace

@@ -80,14 +80,16 @@ TEST(JournalTest, MemoryOnlyJournalStillKeepsTail) {
 }
 
 TEST(JournalTest, TailIsBoundedByCapacity) {
-  JournalOptions options;
-  options.tail_capacity = 4;
-  Journal journal(options);
-  for (int i = 0; i < 100; ++i) {
+  Journal journal;
+  const int total = static_cast<int>(Journal::kTailCapacity) + 100;
+  for (int i = 0; i < total; ++i) {
     journal.Emit("span", "event", {JournalField::Num("i", i)});
   }
-  EXPECT_EQ(journal.Tail(1000).size(), 4u);
-  EXPECT_NE(journal.Tail(1000).back().find("\"i\":99"), std::string::npos);
+  EXPECT_EQ(journal.Tail(Journal::kTailCapacity + 1000).size(),
+            Journal::kTailCapacity);
+  EXPECT_NE(journal.Tail(1).back().find("\"i\":" + std::to_string(total - 1)),
+            std::string::npos);
+  EXPECT_EQ(journal.events_emitted(), static_cast<uint64_t>(total));
 }
 
 TEST(JournalTest, RotatesWhenFileExceedsThreshold) {
@@ -196,6 +198,27 @@ TEST(JournalToChromeTraceTest, FileConverterRoundTrips) {
   EXPECT_EQ(
       ConvertJournalToChromeTrace(dir + "/absent.jsonl", trace_path).code(),
       StatusCode::kNotFound);
+}
+
+// A span event is stamped when the span closes, so the "X" event must
+// start dur_ns before that stamp: a span that closed at 5 ms after
+// running 2.00025 ms is drawn from 2.99975 ms, not from its close.
+TEST(JournalToChromeTraceTest, SpanStartsItsDurationBeforeTheCloseStamp) {
+  const std::string trace = JournalToChromeTrace(
+      "{\"ts_ns\":5000000,\"run\":\"run-x\",\"span\":\"thread-1\","
+      "\"event\":\"l1/mine\",\"dur_ns\":2000250}\n");
+  EXPECT_NE(trace.find("\"ts\":2999.750,\"ph\":\"X\",\"dur\":2000.250"),
+            std::string::npos)
+      << trace;
+}
+
+TEST(AppendJsonStringTest, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  AppendJsonString("a\"b\\c\nd\te\x01" "f\x1f", &out);
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u001f\"");
+  out.clear();
+  AppendJsonString("", &out);
+  EXPECT_EQ(out, "\"\"");
 }
 
 }  // namespace

@@ -123,9 +123,11 @@ TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
   EXPECT_NE(bundle.metrics_json.find("pipeline.runs"), std::string::npos);
   EXPECT_NE(bundle.probe_json.find("unit/stage"), std::string::npos);
   EXPECT_NE(bundle.trace_json.find("unit/stage"), std::string::npos);
-  // The tail is capped at the configured depth and holds the newest lines.
+  // The tail is capped at the configured depth and holds the newest
+  // lines: the last epochs, then the span (spans are journal events).
   ASSERT_EQ(bundle.journal_tail.size(), 4u);
-  EXPECT_NE(bundle.journal_tail.back().find("\"epoch\":9"),
+  EXPECT_NE(bundle.journal_tail[2].find("\"epoch\":9"), std::string::npos);
+  EXPECT_NE(bundle.journal_tail.back().find("\"event\":\"unit/stage\""),
             std::string::npos);
 
   // The capture itself journaled a "postmortem" event naming the bundle

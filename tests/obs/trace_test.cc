@@ -1,4 +1,9 @@
-#include "obs/trace.h"
+// The journal's bounded ring is the process's trace recorder: every
+// closed TraceSpan is a journal event carrying its duration, and
+// JournalToChromeTrace is the one Chrome exporter. These are the
+// recorder's contracts — order, a newest-window ring, lossless
+// concurrent recording, a valid trace envelope — plus the span and
+// clock primitives that feed it.
 
 #include <algorithm>
 #include <cstdint>
@@ -8,106 +13,94 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/journal.h"
 #include "obs/obs.h"
 
 namespace logmine::obs {
 namespace {
 
-TraceEvent Event(const char* name, int64_t start_ns, int64_t dur_ns) {
-  TraceEvent event;
-  event.name = name;
-  event.tid = CurrentTraceThreadId();
-  event.start_ns = start_ns;
-  event.dur_ns = dur_ns;
-  return event;
-}
-
 TEST(TraceRecorderTest, KeepsEventsInOrder) {
-  TraceRecorder recorder(8);
-  recorder.Record(Event("first", 100, 10));
-  recorder.Record(Event("second", 200, 20));
-  const std::vector<TraceEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_STREQ(events[0].name, "first");
-  EXPECT_STREQ(events[1].name, "second");
-  EXPECT_EQ(recorder.total_recorded(), 2u);
-  EXPECT_EQ(recorder.dropped(), 0u);
+  Journal journal;
+  journal.Emit("s", "first");
+  journal.Emit("s", "second");
+  const std::vector<std::string> tail = journal.Tail(10);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_NE(tail[0].find("\"event\":\"first\""), std::string::npos);
+  EXPECT_NE(tail[1].find("\"event\":\"second\""), std::string::npos);
+  EXPECT_EQ(journal.events_emitted(), 2u);
 }
 
-// The flight-recorder contract: overflow forgets the OLDEST events and
-// counts them as dropped; the retained window is the most recent
-// `capacity` spans, oldest first.
+// The flight-recorder contract: overflow forgets the OLDEST events; the
+// retained window is the most recent kTailCapacity, oldest first.
 TEST(TraceRecorderTest, RingOverflowKeepsTheMostRecentWindow) {
-  TraceRecorder recorder(4);
-  for (int64_t i = 0; i < 10; ++i) {
-    recorder.Record(Event("span", i * 100, 50));
+  Journal journal;
+  constexpr int kDropped = 6;
+  const int total = static_cast<int>(Journal::kTailCapacity) + kDropped;
+  for (int i = 0; i < total; ++i) {
+    journal.Emit("span", "event", {JournalField::Num("i", i)});
   }
-  EXPECT_EQ(recorder.total_recorded(), 10u);
-  EXPECT_EQ(recorder.dropped(), 6u);
-  const std::vector<TraceEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), 4u);
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].start_ns, static_cast<int64_t>(6 + i) * 100) << i;
+  const std::vector<std::string> tail = journal.Tail(Journal::kTailCapacity);
+  ASSERT_EQ(tail.size(), Journal::kTailCapacity);
+  for (size_t i = 0; i < tail.size(); i += 511) {
+    EXPECT_NE(tail[i].find("\"i\":" + std::to_string(kDropped + i) + "}"),
+              std::string::npos)
+        << i;
   }
 }
 
 TEST(TraceRecorderTest, ConcurrentRecordingLosesNothingUnderCapacity) {
-  TraceRecorder recorder(100000);
+  Journal journal;
   constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
+  constexpr int kPerThread = 500;
+  static_assert(kThreads * kPerThread <= Journal::kTailCapacity);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder] {
+    threads.emplace_back([&journal] {
       for (int i = 0; i < kPerThread; ++i) {
-        recorder.Record(Event("worker", MonotonicNowNs(), 1));
+        journal.Emit("worker", "tick", {JournalField::Num("dur_ns", 1)});
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(recorder.total_recorded(),
+  EXPECT_EQ(journal.events_emitted(),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  EXPECT_EQ(recorder.Events().size(),
+  EXPECT_EQ(journal.Tail(Journal::kTailCapacity).size(),
             static_cast<size_t>(kThreads) * kPerThread);
 }
 
-// Structural checks on the Chrome trace_event format: the envelope, one
-// complete ("X") event per span, pid/tid/ts/dur fields, and escaping
-// that keeps the JSON balanced.
+// Structural checks on the Chrome trace_event format of real spans: the
+// envelope, one complete ("X") event per span named after its thread
+// and span, pid/tid/ts/dur fields, and balanced JSON.
 TEST(TraceRecorderTest, ChromeTraceJsonHasTheExpectedStructure) {
-  TraceRecorder recorder(8);
-  recorder.Record(Event("pipeline/run", 1500, 2500));
-  recorder.Record(Event("l1/mine", 2000, 1000));
-  const std::string json = recorder.ToChromeTraceJson();
-
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"pipeline/run\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"l1/mine\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"pid\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\": "), std::string::npos);
-  // 1500 ns / 2500 ns render as fixed-point microseconds.
-  EXPECT_NE(json.find("\"ts\": 1.500"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 2.500"), std::string::npos);
-
+  ObsContext context;
+  {
+    TraceSpan outer(&context, "pipeline/run");
+    TraceSpan inner(&context, "l1/mine");
+  }
+  const std::string json =
+      JournalToChromeTrace(context.journal().Tail(Journal::kTailCapacity));
+  const std::string thread =
+      "thread-" + std::to_string(CurrentTraceThreadId());
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_NE(json.find("\"name\":\"" + thread + " pipeline/run\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"" + thread + " l1/mine\""),
+            std::string::npos);
+  EXPECT_EQ(std::count(json.begin(), json.end(), 'X'), 2);
+  EXPECT_NE(json.find("\"pid\":1,\"tid\":1,\"ts\":"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
-  EXPECT_EQ(json.front(), '{');
-  // Ends with the closed envelope plus a trailing newline.
-  ASSERT_GE(json.size(), 3u);
-  EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
+  EXPECT_EQ(json.substr(json.size() - 2), "]}");
 }
 
 TEST(TraceRecorderTest, EmptyRecorderStillExportsAValidEnvelope) {
-  TraceRecorder recorder(4);
-  const std::string json = recorder.ToChromeTraceJson();
-  EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-  EXPECT_TRUE(recorder.Events().empty());
+  Journal journal;
+  EXPECT_EQ(JournalToChromeTrace(journal.Tail(Journal::kTailCapacity)),
+            "{\"traceEvents\":[]}");
+  EXPECT_EQ(JournalToChromeTrace(std::string_view()), "{\"traceEvents\":[]}");
 }
 
 TEST(TraceSpanTest, SpanRecordsDurationAndOptionalHistogram) {
@@ -118,14 +111,22 @@ TEST(TraceSpanTest, SpanRecordsDurationAndOptionalHistogram) {
     volatile int sink = 0;
     for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
-  const std::vector<TraceEvent> events = context.trace().Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "unit/scope");
-  EXPECT_GE(events[0].dur_ns, 0);
+  // One journal event named after the span, under the thread's span id,
+  // carrying its duration ...
+  const std::vector<std::string> tail = context.journal().Tail(10);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_NE(tail[0].find("\"span\":\"thread-" +
+                         std::to_string(CurrentTraceThreadId()) + "\""),
+            std::string::npos);
+  EXPECT_NE(tail[0].find("\"event\":\"unit/scope\""), std::string::npos);
+  EXPECT_NE(tail[0].find("\"dur_ns\":"), std::string::npos);
+  EXPECT_EQ(tail[0].find("\"dur_ns\":-"), std::string::npos);
+  // ... plus one observation in the span's latency sketch.
   const MetricsSnapshot snap = context.metrics().Snapshot();
-  const MetricsSnapshot::Entry* hist = snap.Find("eval.day_ns");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->hist.count, 1);
+  const MetricsSnapshot::Entry* latency = snap.Find("eval.day_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->sketch.count(), 1);
+  EXPECT_EQ(snap.Value("journal.events_emitted"), 1);
 }
 
 TEST(TraceSpanTest, NullContextSpanIsANoop) {
